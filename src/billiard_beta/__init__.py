@@ -26,6 +26,7 @@ from .geometry import (
     save_domain,
     scaled,
     squeezed_disk,
+    support_jet,
 )
 from .models import (
     MODEL_TAGS,

@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -52,12 +50,18 @@ def parse_domain(spec: str) -> SupportDomain:
     if family == "gutkin":
         if len(values) != 2:
             raise ValueError("gutkin domain needs two parameters: gutkin:n,eps")
-        return geometry.gutkin(int(values[0]), values[1])
+        return geometry.gutkin(_mode(values[0], spec), values[1])
     if family == "constant_width":
         if not values:
             raise ValueError("constant width domain needs constwidth:eps[,n]")
-        return geometry.constant_width(values[0], int(values[1]) if len(values) > 1 else 3)
+        return geometry.constant_width(values[0], _mode(values[1], spec) if len(values) > 1 else 3)
     return geometry.make_named(family, *values)
+
+
+def _mode(value: float, spec: str) -> int:
+    if not value.is_integer():
+        raise ValueError(f"domain mode must be an integer: {spec!r}")
+    return int(value)
 
 
 def parse_rotations(text: str, tol: float) -> list[RotationNumber]:
@@ -66,21 +70,6 @@ def parse_rotations(text: str, tol: float) -> list[RotationNumber]:
         if not 0.0 < rho.value <= 0.5:
             raise ValueError(f"rotation number must lie in (0, 1/2]: {rho}")
     return rotations
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BILLIARD_BETA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = _threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -108,7 +97,7 @@ def cmd_beta(args) -> int:
         ir = twist.beta_irrational_result(sys, rho.omega, rho.tol, opts)
         return tag, rho, ir.value, ir.upper - ir.lower, ir.converged, None
 
-    results = _map(run, jobs)
+    results = [run(job) for job in jobs]
     ok = all(r[4] for r in results)
     if args.orbit_out:
         orbit_lines = ["model,rho,k,phi,x,y"]
@@ -249,12 +238,11 @@ def cmd_sweep(args) -> int:
     opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
 
-    def run(job):
-        tag, (p, q) = job
-        res = minimize_periodic(make_system(dom, tag), p, q, opts)
-        return tag, p, q, res
-
-    results = _map(run, [(tag, pq) for tag in tags for pq in grid])
+    results = [
+        (tag, p, q, minimize_periodic(make_system(dom, tag), p, q, opts))
+        for tag in tags
+        for p, q in grid
+    ]
     lines = ["model,p,q,rho,beta,residual,converged"]
     for tag, p, q, res in results:
         lines.append(

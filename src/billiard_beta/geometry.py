@@ -18,10 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Highest derivative of h the support jet provides; the model Hessians need the third.
+MAX_SUPPORT_ORDER = 3
 
 
 def _grid_size(n_modes: int) -> int:
@@ -66,6 +69,16 @@ class SupportDomain:
     @property
     def n_modes(self) -> int:
         return int(self.an.size)
+
+    @cached_property
+    def _jet_coefficients(self) -> np.ndarray:
+        """Row k holds c_n (i n)^k, c_n = a_n - i b_n, for k = 0..MAX_SUPPORT_ORDER.
+
+        Computed once per domain, on its first evaluation, not once per call.
+        """
+        n = np.arange(1, self.n_modes + 1, dtype=float)
+        c = self.an - 1j * self.bn
+        return np.stack([c * ((1, 1j, -1, -1j)[k] * n**k) for k in range(MAX_SUPPORT_ORDER + 1)])
 
     def grid(self) -> np.ndarray:
         """Validation grid used for all quadrature on this domain."""
@@ -121,25 +134,45 @@ class AffineMap:
         return cls(np.array([[sx, 0.0], [0.0, sy]]))
 
 
-def eval_support(dom: SupportDomain, phi, order: int = 0):
-    """Evaluate h and its derivatives term-wise from the Fourier sum.
+def _support_rows(dom: SupportDomain, phi, orders: range) -> np.ndarray:
+    """Rows h^(k)(phi) for k in orders, shape (len(orders), *phi.shape).
 
-    order 0, 1, 2 are the documented surface; higher orders follow the same
-    term-wise rule and are used internally by the billiard models.
+    With c_n = a_n - i b_n, h^(k) = a0 [k = 0] + Re sum_n c_n (i n)^k e^{i n phi}.
+    One table of e^{i n phi}, n = 1..N, serves every order through a single
+    complex matmul.  The table is built in place from e^{i phi} (phi reduced
+    mod 2 pi) by repeated products: rows n+1..n+m are rows 1..m times row n.
     """
+    if orders.start < 0 or orders.stop > MAX_SUPPORT_ORDER + 1:
+        raise ValueError(f"support derivative order must lie in 0..{MAX_SUPPORT_ORDER}")
     phi_arr = np.asarray(phi, dtype=float)
-    scalar = phi_arr.ndim == 0
-    if dom.n_modes == 0:
-        out = np.full(phi_arr.shape, dom.a0 if order == 0 else 0.0)
-        return float(out) if scalar else out
-    n = np.arange(1, dom.n_modes + 1, dtype=float)
-    shift = 0.5 * math.pi * order
-    ang = phi_arr[..., None] * n + shift
-    scale = n**order
-    out = np.cos(ang) @ (dom.an * scale) + np.sin(ang) @ (dom.bn * scale)
-    if order == 0:
-        out = out + dom.a0
-    return float(out) if scalar else out
+    out = np.zeros((len(orders), phi_arr.size))
+    if orders.start == 0:
+        out[0] = dom.a0
+    n_modes = dom.n_modes
+    if n_modes:
+        table = np.empty((n_modes, phi_arr.size), dtype=complex)
+        np.exp(1j * np.mod(phi_arr.reshape(-1), TWO_PI), out=table[0])
+        done = 1
+        while done < n_modes:
+            m = min(done, n_modes - done)
+            np.multiply(table[:m], table[done - 1], out=table[done : done + m])
+            done += m
+        out += (dom._jet_coefficients[orders.start : orders.stop] @ table).real
+    return out.reshape(len(orders), *phi_arr.shape)
+
+
+def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.ndarray:
+    """h, h', ..., h^(order) at the angles phi, shape (order + 1, *phi.shape)."""
+    return _support_rows(dom, phi, range(order + 1))
+
+
+def eval_support(dom: SupportDomain, phi, order: int = 0):
+    """Evaluate h or one derivative, up to MAX_SUPPORT_ORDER, from the Fourier sum.
+
+    Several orders at once come from `support_jet`, which shares one table.
+    """
+    out = _support_rows(dom, phi, range(order, order + 1))[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def boundary_xy(dom: SupportDomain, phi):
@@ -308,23 +341,20 @@ def radon_check(dom: SupportDomain, tol: float = 1e-8, n_grid: int = 256) -> Rad
         # <gamma(psi), (cos phi, sin phi)>
         return eval_support(dom, psi, 0) * np.cos(psi - phi) - eval_support(dom, psi, 1) * np.sin(psi - phi)
 
-    max_defect = 0.0
-    for phi in np.linspace(0.0, TWO_PI, n_grid, endpoint=False):
-        lo, hi = phi + 1e-12, phi + math.pi - 1e-12
-        flo = support_dot(lo, phi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = support_dot(mid, phi)
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        psi = 0.5 * (lo + hi)
-        pos = boundary_xy(dom, phi)
-        ang_pos = math.atan2(pos[1], pos[0])
-        ang_tan = psi + 0.5 * math.pi
-        defect = abs((ang_pos - ang_tan + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
-        max_defect = max(max_defect, float(defect))
+    phi = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+    lo, hi = phi + 1e-12, phi + math.pi - 1e-12
+    flo = support_dot(lo, phi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = support_dot(mid, phi)
+        same = (fm > 0) == (flo > 0)
+        lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
+    psi = 0.5 * (lo + hi)
+    pos = boundary_xy(dom, phi)
+    ang_pos = np.arctan2(pos[:, 1], pos[:, 0])
+    ang_tan = psi + 0.5 * math.pi
+    defect = np.abs((ang_pos - ang_tan + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+    max_defect = float(defect.max())
     return RadonReport(True, max_defect, max_defect < tol, tol)
 
 

@@ -17,6 +17,10 @@ period 2*pi.  Orbit polygons are recovered per model:
               from M; sum = circumscribed polygon perimeter.
 
 The twist condition S12 < 0 holds on each model's admissible strip.
+
+Each model is one jet function (see `TwistSystem`): it evaluates the support
+jet once per edge end (once at the chord midpoint for Birkhoff) and shares
+the trig and tangent-length terms across S and its partials.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SupportDomain, boundary_xy, eval_support
+from .geometry import SupportDomain, boundary_xy, eval_support, support_jet
 from .twist import Configuration, TwistSystem
 
 TWO_PI = 2.0 * math.pi
@@ -51,107 +55,64 @@ def make_system(dom: SupportDomain, tag: str) -> TwistSystem:
 
 
 def _birkhoff_system(dom: SupportDomain) -> TwistSystem:
-    h = lambda x, k=0: eval_support(dom, x, k)
+    def jet(x0, x1, order):
+        x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
+        h = support_jet(dom, 0.5 * (x0 + x1), order)
+        d = 0.5 * (x1 - x0)
+        s, c = np.sin(d), np.cos(d)
+        out = [-2.0 * h[0] * s]
+        if order >= 1:
+            out += [-h[1] * s + h[0] * c, -h[1] * s - h[0] * c]
+        if order >= 2:
+            out += [
+                0.5 * (-h[2] * s + 2.0 * h[1] * c + h[0] * s),
+                -0.5 * (h[0] + h[2]) * s,
+                0.5 * (-h[2] * s - 2.0 * h[1] * c + h[0] * s),
+            ]
+        return out
 
-    def parts(x0, x1):
-        m = 0.5 * (np.asarray(x0) + np.asarray(x1))
-        d = 0.5 * (np.asarray(x1) - np.asarray(x0))
-        return m, np.sin(d), np.cos(d)
-
-    def S(x0, x1):
-        m, s, c = parts(x0, x1)
-        return -2.0 * h(m) * s
-
-    def S1(x0, x1):
-        m, s, c = parts(x0, x1)
-        return -h(m, 1) * s + h(m) * c
-
-    def S2(x0, x1):
-        m, s, c = parts(x0, x1)
-        return -h(m, 1) * s - h(m) * c
-
-    def S11(x0, x1):
-        m, s, c = parts(x0, x1)
-        return 0.5 * (-h(m, 2) * s + 2.0 * h(m, 1) * c + h(m) * s)
-
-    def S22(x0, x1):
-        m, s, c = parts(x0, x1)
-        return 0.5 * (-h(m, 2) * s - 2.0 * h(m, 1) * c + h(m) * s)
-
-    def S12(x0, x1):
-        m, s, c = parts(x0, x1)
-        return -0.5 * (h(m) + h(m, 2)) * s
-
-    return TwistSystem(TWO_PI, TWO_PI, S, S1, S2, S11, S12, S22, name="birkhoff")
+    return TwistSystem(TWO_PI, TWO_PI, jet, name="birkhoff")
 
 
-def _gamma_jets(dom, t):
-    """gamma, gamma', gamma'' components at support angle t."""
-    t = np.asarray(t, dtype=float)
-    h0 = eval_support(dom, t, 0)
-    h1 = eval_support(dom, t, 1)
-    r = h0 + eval_support(dom, t, 2)
-    rp = h1 + eval_support(dom, t, 3)
+def _gamma_jets(h, t):
+    """gamma and its first len(h) - 2 derivatives at t, from the support jet h."""
     c, s = np.cos(t), np.sin(t)
-    gx, gy = h0 * c - h1 * s, h0 * s + h1 * c
-    dx, dy = -r * s, r * c
-    ddx, ddy = -rp * s - r * c, rp * c - r * s
-    return (gx, gy), (dx, dy), (ddx, ddy)
+    out = [(h[0] * c - h[1] * s, h[0] * s + h[1] * c)]
+    if len(h) > 2:
+        r = h[0] + h[2]
+        out.append((-r * s, r * c))
+    if len(h) > 3:
+        rp = h[1] + h[3]
+        out.append((-rp * s - r * c, rp * c - r * s))
+    return out
 
 
 def _symplectic_system(dom: SupportDomain) -> TwistSystem:
-    def S(x0, x1):
-        (g0x, g0y), _, _ = _gamma_jets(dom, x0)
-        (g1x, g1y), _, _ = _gamma_jets(dom, x1)
-        return -0.5 * _cross(g0x, g0y, g1x, g1y)
+    def jet(x0, x1, order):
+        g0 = _gamma_jets(support_jet(dom, x0, order + 1), x0)
+        g1 = _gamma_jets(support_jet(dom, x1, order + 1), x1)
+        # each partial pairs one derivative of gamma at x0 with one at x1
+        pairs = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)][: (1, 3, 6)[order]]
+        return [-0.5 * _cross(*g0[i], *g1[j]) for i, j in pairs]
 
-    def S1(x0, x1):
-        _, (d0x, d0y), _ = _gamma_jets(dom, x0)
-        (g1x, g1y), _, _ = _gamma_jets(dom, x1)
-        return -0.5 * _cross(d0x, d0y, g1x, g1y)
-
-    def S2(x0, x1):
-        (g0x, g0y), _, _ = _gamma_jets(dom, x0)
-        _, (d1x, d1y), _ = _gamma_jets(dom, x1)
-        return -0.5 * _cross(g0x, g0y, d1x, d1y)
-
-    def S11(x0, x1):
-        _, _, (q0x, q0y) = _gamma_jets(dom, x0)
-        (g1x, g1y), _, _ = _gamma_jets(dom, x1)
-        return -0.5 * _cross(q0x, q0y, g1x, g1y)
-
-    def S12(x0, x1):
-        _, (d0x, d0y), _ = _gamma_jets(dom, x0)
-        _, (d1x, d1y), _ = _gamma_jets(dom, x1)
-        return -0.5 * _cross(d0x, d0y, d1x, d1y)
-
-    def S22(x0, x1):
-        (g0x, g0y), _, _ = _gamma_jets(dom, x0)
-        _, _, (q1x, q1y) = _gamma_jets(dom, x1)
-        return -0.5 * _cross(g0x, g0y, q1x, q1y)
-
-    return TwistSystem(TWO_PI, math.pi, S, S1, S2, S11, S12, S22, name="symplectic")
+    return TwistSystem(TWO_PI, math.pi, jet, name="symplectic")
 
 
-def _tangent_wedge(dom, x0, x1):
-    """Support values and tangent-segment lengths at a tangent-line pair.
+def _tangent_wedge(g0, g1, x0, x1):
+    """Trig of the gap and tangent-segment lengths at a tangent-line pair.
 
-    Returns h and derivatives at both angles, trig of the gap, and the
-    signed lengths lambda0 = |M - gamma(x0)|, lambda1 = |gamma(x1) - M| where
-    M is the intersection of the two tangent lines (positive for gaps in
-    (0, pi) on a strictly convex domain).
+    g0, g1 are support jets at x0, x1.  Returns s, c, 1/s, cot of the gap and
+    the signed lengths lambda0 = |M - gamma(x0)|, lambda1 = |gamma(x1) - M|
+    where M is the intersection of the two tangent lines (positive for gaps
+    in (0, pi) on a strictly convex domain).
     """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    g0 = [eval_support(dom, x0, k) for k in range(4)]
-    g1 = [eval_support(dom, x1, k) for k in range(4)]
-    delta = x1 - x0
+    delta = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)
     s, c = np.sin(delta), np.cos(delta)
     inv_s = 1.0 / s
     cot = c * inv_s
     lam0 = -g0[1] + g1[0] * inv_s - g0[0] * cot
     lam1 = g1[1] + g0[0] * inv_s - g1[0] * cot
-    return g0, g1, s, c, inv_s, cot, lam0, lam1
+    return s, c, inv_s, cot, lam0, lam1
 
 
 def _lambda_partials(g0, g1, s, c, inv_s, cot):
@@ -181,75 +142,52 @@ def _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp):
 def _outer_system(dom: SupportDomain) -> TwistSystem:
     # per-edge area of the wedge (O, gamma(x0), M, gamma(x1)):
     #   S = (h(x0) lam0 + h(x1) lam1) / 2, summing to the circumscribed area.
-    def S(x0, x1):
-        g0, g1, *_, lam0, lam1 = _tangent_wedge(dom, x0, x1)
-        return 0.5 * (g0[0] * lam0 + g1[0] * lam1)
+    def jet(x0, x1, order):
+        g0 = support_jet(dom, x0, order + 1)
+        g1 = support_jet(dom, x1, order + 1)
+        s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(g0, g1, x0, x1)
+        out = [0.5 * (g0[0] * lam0 + g1[0] * lam1)]
+        if order >= 1:
+            a, b, cc, d, p, cp = _lambda_partials(g0, g1, s, c, inv_s, cot)
+            out += [
+                0.5 * (g0[1] * lam0 + g0[0] * a + g1[0] * cc),
+                0.5 * (g0[0] * b + g1[1] * lam1 + g1[0] * d),
+            ]
+        if order >= 2:
+            a00, a01, b11, c00, c01, d11 = _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp)
+            out += [
+                0.5 * (g0[2] * lam0 + 2.0 * g0[1] * a + g0[0] * a00 + g1[0] * c00),
+                0.5 * (g0[1] * b + g0[0] * a01 + g1[1] * cc + g1[0] * c01),
+                0.5 * (g0[0] * b11 + g1[2] * lam1 + 2.0 * g1[1] * d + g1[0] * d11),
+            ]
+        return out
 
-    def S1(x0, x1):
-        g0, g1, s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(dom, x0, x1)
-        a, b, cc, d, _, _ = _lambda_partials(g0, g1, s, c, inv_s, cot)
-        return 0.5 * (g0[1] * lam0 + g0[0] * a + g1[0] * cc)
-
-    def S2(x0, x1):
-        g0, g1, s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(dom, x0, x1)
-        a, b, cc, d, _, _ = _lambda_partials(g0, g1, s, c, inv_s, cot)
-        return 0.5 * (g0[0] * b + g1[1] * lam1 + g1[0] * d)
-
-    def S11(x0, x1):
-        g0, g1, s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(dom, x0, x1)
-        a, b, cc, d, p, cp = _lambda_partials(g0, g1, s, c, inv_s, cot)
-        a00, a01, b11, c00, c01, d11 = _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp)
-        return 0.5 * (g0[2] * lam0 + 2.0 * g0[1] * a + g0[0] * a00 + g1[0] * c00)
-
-    def S12(x0, x1):
-        g0, g1, s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(dom, x0, x1)
-        a, b, cc, d, p, cp = _lambda_partials(g0, g1, s, c, inv_s, cot)
-        a00, a01, b11, c00, c01, d11 = _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp)
-        return 0.5 * (g0[1] * b + g0[0] * a01 + g1[1] * cc + g1[0] * c01)
-
-    def S22(x0, x1):
-        g0, g1, s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(dom, x0, x1)
-        a, b, cc, d, p, cp = _lambda_partials(g0, g1, s, c, inv_s, cot)
-        a00, a01, b11, c00, c01, d11 = _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp)
-        return 0.5 * (g0[0] * b11 + g1[2] * lam1 + 2.0 * g1[1] * d + g1[0] * d11)
-
-    return TwistSystem(TWO_PI, math.pi, S, S1, S2, S11, S12, S22, name="outer")
+    return TwistSystem(TWO_PI, math.pi, jet, name="outer")
 
 
 def _fourth_system(dom: SupportDomain) -> TwistSystem:
-    h = lambda x, k=0: eval_support(dom, x, k)
+    def jet(x0, x1, order):
+        g0 = support_jet(dom, x0, order + 1)
+        g1 = support_jet(dom, x1, order + 1)
+        tan = np.tan(0.5 * (np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)))
+        total = g0[0] + g1[0]
+        out = [g1[1] - g0[1] + total * tan]
+        if order >= 1:
+            sec2 = 1.0 + tan * tan
+            out += [
+                -g0[2] + g0[1] * tan - 0.5 * total * sec2,
+                g1[2] + g1[1] * tan + 0.5 * total * sec2,
+            ]
+        if order >= 2:
+            mixed = 0.5 * total * sec2 * tan
+            out += [
+                -g0[3] + g0[2] * tan - g0[1] * sec2 + mixed,
+                0.5 * sec2 * (g0[1] - g1[1]) - mixed,
+                g1[3] + g1[2] * tan + g1[1] * sec2 + mixed,
+            ]
+        return out
 
-    def trig(x0, x1):
-        half = 0.5 * (np.asarray(x1) - np.asarray(x0))
-        tan = np.tan(half)
-        sec2 = 1.0 + tan * tan
-        return tan, sec2
-
-    def S(x0, x1):
-        tan, _ = trig(x0, x1)
-        return h(x1, 1) - h(x0, 1) + (h(x0) + h(x1)) * tan
-
-    def S1(x0, x1):
-        tan, sec2 = trig(x0, x1)
-        return -h(x0, 2) + h(x0, 1) * tan - 0.5 * (h(x0) + h(x1)) * sec2
-
-    def S2(x0, x1):
-        tan, sec2 = trig(x0, x1)
-        return h(x1, 2) + h(x1, 1) * tan + 0.5 * (h(x0) + h(x1)) * sec2
-
-    def S11(x0, x1):
-        tan, sec2 = trig(x0, x1)
-        return -h(x0, 3) + h(x0, 2) * tan - h(x0, 1) * sec2 + 0.5 * (h(x0) + h(x1)) * sec2 * tan
-
-    def S12(x0, x1):
-        tan, sec2 = trig(x0, x1)
-        return 0.5 * sec2 * (h(x0, 1) - h(x1, 1)) - 0.5 * (h(x0) + h(x1)) * sec2 * tan
-
-    def S22(x0, x1):
-        tan, sec2 = trig(x0, x1)
-        return h(x1, 3) + h(x1, 2) * tan + h(x1, 1) * sec2 + 0.5 * (h(x0) + h(x1)) * sec2 * tan
-
-    return TwistSystem(TWO_PI, math.pi, S, S1, S2, S11, S12, S22, name="fourth")
+    return TwistSystem(TWO_PI, math.pi, jet, name="fourth")
 
 
 def beta_disk(tag: str, rho: float) -> float:

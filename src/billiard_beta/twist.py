@@ -14,36 +14,51 @@ minimal average action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+
+# TwistSystem view -> (jet order, index of the component in the jet)
+_JET_VIEWS = {"S": (0, 0), "S1": (1, 1), "S2": (1, 2), "S11": (2, 3), "S12": (2, 4), "S22": (2, 5)}
+
+
+def _jet_view(jet: Callable, order: int, index: int) -> Callable:
+    return lambda x0, x1: jet(x0, x1, order)[index]
 
 
 @dataclass(frozen=True)
 class TwistSystem:
     """Generating-function system on a periodic parameter line.
 
-    S must satisfy S(x0 + period, x1 + period) = S(x0, x1) and have negative
-    mixed second derivative (positive twist) on the admissible strip
-    0 < x1 - x0 < max_gap.  All callables must accept numpy arrays.
+    jet(x0, x1, order) evaluates the generating function and its partials on
+    numpy arrays of edge ends: [S] for order 0, [S, S1, S2] for order 1 and
+    [S, S1, S2, S11, S12, S22] for order 2.  S must satisfy
+    S(x0 + period, x1 + period) = S(x0, x1) and have negative mixed second
+    derivative (positive twist) on the admissible strip 0 < x1 - x0 < max_gap.
+
+    The fields S ... S22 are single-component views of jet, filled in when
+    not given; the engine itself calls jet.
     """
 
     period: float
     max_gap: float
-    S: Callable
-    S1: Callable
-    S2: Callable
-    S11: Optional[Callable] = None
-    S12: Optional[Callable] = None
-    S22: Optional[Callable] = None
+    jet: Callable
     name: str = ""
+    S: Callable = None
+    S1: Callable = None
+    S2: Callable = None
+    S11: Callable = None
+    S12: Callable = None
+    S22: Callable = None
 
-    @property
-    def has_hessian(self) -> bool:
-        return self.S11 is not None and self.S12 is not None and self.S22 is not None
+    def __post_init__(self):
+        for key, (order, index) in _JET_VIEWS.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, _jet_view(self.jet, order, index))
 
 
 @dataclass(frozen=True)
@@ -149,6 +164,17 @@ class MinimizeOptions:
     gap_min_frac: float = 1e-9
     q_max: int = 2000
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be >= 1, got {self.starts}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.q_max < 1:
+            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
+        for name in ("max_gd_iter", "max_newton_iter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def _require_gaps(sys: TwistSystem, points: np.ndarray, winding: int) -> None:
     if points.size == 1 and winding == 0:
@@ -166,7 +192,7 @@ def _closed(points: np.ndarray, winding: int, period: float) -> np.ndarray:
 def action(sys: TwistSystem, cfg: Configuration) -> float:
     _require_gaps(sys, cfg.points, cfg.winding)
     xn = _closed(cfg.points, cfg.winding, sys.period)
-    return float(np.sum(sys.S(cfg.points, xn)))
+    return float(np.sum(sys.jet(cfg.points, xn, 0)[0]))
 
 
 def action_gradient(sys: TwistSystem, cfg: Configuration) -> np.ndarray:
@@ -175,20 +201,19 @@ def action_gradient(sys: TwistSystem, cfg: Configuration) -> np.ndarray:
 
 
 def _grad(sys: TwistSystem, x: np.ndarray, p: int) -> np.ndarray:
-    xn = _closed(x, p, sys.period)
-    if x.size == 1:
-        return np.array([float(sys.S1(x[0], xn[0]) + sys.S2(x[0], xn[0]))])
-    return sys.S1(x, xn) + np.roll(sys.S2(x, xn), 1)
+    _, s1, s2 = sys.jet(x, _closed(x, p, sys.period), 1)
+    return s1 + np.roll(s2, 1)
 
 
 def _action_rows(sys: TwistSystem, rows: np.ndarray, p: int) -> np.ndarray:
     xn = np.concatenate([rows[:, 1:], rows[:, :1] + p * sys.period], axis=1)
-    return np.sum(sys.S(rows, xn), axis=1)
+    return np.sum(sys.jet(rows, xn, 0)[0], axis=1)
 
 
 def _grad_rows(sys: TwistSystem, rows: np.ndarray, p: int) -> np.ndarray:
     xn = np.concatenate([rows[:, 1:], rows[:, :1] + p * sys.period], axis=1)
-    return sys.S1(rows, xn) + np.roll(sys.S2(rows, xn), 1, axis=1)
+    _, s1, s2 = sys.jet(rows, xn, 1)
+    return s1 + np.roll(s2, 1, axis=1)
 
 
 def _row_gaps(rows: np.ndarray, p: int, period: float) -> np.ndarray:
@@ -270,12 +295,13 @@ def _gd_phase(sys, rows, p, opts):
 
 
 def _hessian_parts(sys, x, p):
-    xn = _closed(x, p, sys.period)
-    d1 = np.atleast_1d(sys.S11(x, xn))
-    d2 = np.atleast_1d(sys.S22(x, xn))
-    e = np.atleast_1d(sys.S12(x, xn))
-    diag = d1 + np.roll(d2, 1)
-    return diag, e
+    """Diagonal and cyclic off-diagonal of the action Hessian.
+
+    For q = 1 the single edge couples x to itself, so diag + 2 e[0] is the
+    whole Hessian.
+    """
+    *_, d1, e, d2 = sys.jet(x, _closed(x, p, sys.period), 2)
+    return d1 + np.roll(d2, 1), e
 
 
 def _solve_cyclic(diag, e, rhs):
@@ -337,18 +363,12 @@ def _newton_phase(sys, x, p, opts):
         tol_eff = _tol_effective(opts, act, q)
         if res < tol_eff:
             return x, res, True
-        if not sys.has_hessian:
-            break
         diag, e = _hessian_parts(sys, x, p)
         accepted = False
         for _ in range(8):
             try:
                 if q == 1:
-                    xn = _closed(x, p, sys.period)
-                    h_scalar = float(
-                        sys.S11(x[0], xn[0]) + 2.0 * sys.S12(x[0], xn[0]) + sys.S22(x[0], xn[0])
-                    )
-                    delta = -grad / (h_scalar + mu)
+                    delta = -grad / (diag[0] + 2.0 * e[0] + mu)
                 else:
                     delta = _solve_cyclic(diag + mu, e, -grad)
             except np.linalg.LinAlgError:
@@ -373,17 +393,6 @@ def _newton_phase(sys, x, p, opts):
     return x, res, res < _tol_effective(opts, act, q)
 
 
-def _gd_polish(sys, x, p, opts):
-    """Fallback full-tolerance descent for systems without second derivatives."""
-    rows = x[None, :].copy()
-    tight = replace(opts, switch_tol=opts.tol, max_gd_iter=20 * opts.max_gd_iter)
-    rows = _gd_phase(sys, rows, p, tight)
-    x = rows[0]
-    res = float(np.abs(_grad(sys, x, p)).max())
-    act = _action_rows(sys, rows, p)[0]
-    return x, res, res < _tol_effective(opts, act, x.size)
-
-
 def _canonical(sys, x, p):
     shift = math.floor(x[0] / sys.period)
     return x - shift * sys.period
@@ -392,22 +401,20 @@ def _canonical(sys, x, p):
 def _minimize_fixed_point(sys, opts):
     """q = 1, winding 0: minimize S(x, x) over one period."""
     grid = np.linspace(0.0, sys.period, 512, endpoint=False)
-    vals = sys.S(grid, grid)
+    vals = sys.jet(grid, grid, 0)[0]
     x = float(grid[np.argmin(vals)])
     for _ in range(opts.max_newton_iter):
-        g = float(sys.S1(x, x) + sys.S2(x, x))
-        if sys.has_hessian:
-            h = float(sys.S11(x, x) + 2.0 * sys.S12(x, x) + sys.S22(x, x))
-        else:
-            h = 0.0
+        _, s1, s2, s11, s12, s22 = sys.jet(x, x, 2)
+        h = float(s11 + 2.0 * s12 + s22)
         if h <= 0:
             break
-        step = -g / h
+        step = -float(s1 + s2) / h
         x += step
         if abs(step) < 1e-14 * sys.period:
             break
-    res = abs(float(sys.S1(x, x) + sys.S2(x, x)))
-    beta = float(sys.S(x, x))
+    s, s1, s2 = sys.jet(x, x, 1)
+    res = abs(float(s1 + s2))
+    beta = float(s)
     cfg = Configuration(np.array([x % sys.period]), 0, sys.period)
     return BetaResult(beta, cfg, res, 1, res < _tol_effective(opts, beta, 1))
 
@@ -441,10 +448,7 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
 
     candidates = []
     for j in range(opts.starts):
-        if sys.has_hessian:
-            x, res, ok = _newton_phase(sys, rows[j].copy(), p, opts)
-        else:
-            x, res, ok = _gd_polish(sys, rows[j], p, opts)
+        x, res, ok = _newton_phase(sys, rows[j].copy(), p, opts)
         act = _action_rows(sys, x[None, :], p)[0]
         candidates.append((float(act), float(res), j, x, ok))
 
@@ -501,7 +505,7 @@ def minimize_with_fixed_start(
         g = pinned_grad(x)
         res = float(np.abs(g).max())
         act = _action_rows(sys, x[None, :], p)[0]
-        if res < _tol_effective(opts, act, q) or not sys.has_hessian:
+        if res < _tol_effective(opts, act, q):
             break
         diag, e = _hessian_parts(sys, x, p)
         band = np.zeros((3, q - 1))
@@ -529,8 +533,8 @@ def minimize_with_fixed_start(
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> float:
-    g = math.gcd(p, q) if p else 1
-    return minimize_periodic(sys, p // g if g else p, q // g if g else q, opts).beta
+    g = math.gcd(p, q) or 1
+    return minimize_periodic(sys, p // g, q // g, opts).beta
 
 
 def convergents(omega: float, q_max: int) -> list[tuple[int, int]]:
@@ -636,9 +640,9 @@ def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -
     if float(frac) == float(omega) and frac.denominator <= 4096:
         q = frac.denominator
         x = x0 + np.arange(q) * gap
-        return float(np.mean(sys.S(x, x + gap)))
+        return float(np.mean(sys.jet(x, x + gap, 0)[0]))
     t = np.linspace(0.0, sys.period, 4096, endpoint=False)
-    return float(np.mean(sys.S(t + x0, t + x0 + gap)))
+    return float(np.mean(sys.jet(t + x0, t + x0 + gap, 0)[0]))
 
 
 def make_toy_system(
@@ -653,32 +657,26 @@ def make_toy_system(
     """Integrable kinetic term plus periodic potential: S(q, Q) = ell(Q-q) + V(q).
 
     The potential mean over one period is subtracted, so the zero-mean
-    normalization holds regardless of the supplied V.
+    normalization holds regardless of the supplied V.  A potential needs both
+    derivatives, V_d for the gradient and V_dd for the Newton Hessian.
     """
     if V is None:
-        V = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        V_d = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        V_dd = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if V_d is None:
-        raise ValueError("V requires V_d for the action gradient")
+        V = V_d = V_dd = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    if V_d is None or V_dd is None:
+        raise ValueError("V requires V_d and V_dd for the action gradient and Hessian")
     grid = np.linspace(0.0, 1.0, 8192, endpoint=False)
     v_mean = float(np.mean(V(grid)))
 
-    def S(x0, x1):
-        return ell(x1 - x0) + V(x0) - v_mean
+    def jet(x0, x1, order):
+        v = x1 - x0
+        out = [ell(v) + V(x0) - v_mean]
+        if order >= 1:
+            out += [-ell_d(v) + V_d(x0), ell_d(v)]
+        if order >= 2:
+            out += [ell_dd(v) + V_dd(x0), -ell_dd(v), ell_dd(v)]
+        return out
 
-    def S1(x0, x1):
-        return -ell_d(x1 - x0) + V_d(x0)
-
-    def S2(x0, x1):
-        return ell_d(x1 - x0)
-
-    S11 = S12 = S22 = None
-    if V_dd is not None:
-        S11 = lambda x0, x1: ell_dd(x1 - x0) + V_dd(x0)
-        S12 = lambda x0, x1: -ell_dd(x1 - x0)
-        S22 = lambda x0, x1: ell_dd(x1 - x0)
-    return TwistSystem(1.0, math.inf, S, S1, S2, S11, S12, S22, name=name)
+    return TwistSystem(1.0, math.inf, jet, name=name)
 
 
 def quadratic_kinetic():

@@ -184,3 +184,20 @@ class TestExitCodes:
     def test_nonconvex_domain(self, capsys):
         assert main(["beta", "--domain", "gutkin:4,0.2", "--rot", "1/3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--starts", "0"], "starts must be >= 1"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--starts", "-2"], "starts must be >= 1"),
+            (["sweep", "--domain", "disk:1", "--qmax", "4", "--starts", "0"], "starts must be >= 1"),
+            (["toy", "--qmax", "4", "--starts", "0"], "starts must be >= 1"),
+            (["beta", "--domain", "gutkin:2.7,0.1", "--rot", "1/3"], "mode must be an integer"),
+            (["beta", "--domain", "constwidth:0.05,3.5", "--rot", "1/3"], "mode must be an integer"),
+        ],
+    )
+    def test_bad_input_fails_fast(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -268,6 +268,28 @@ class TestToyModel:
             assert max(gaps) > 1e-6
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("starts", 0), ("starts", -2), ("tol", 0.0), ("tol", -1e-10), ("tol", math.nan),
+         ("q_max", 0), ("max_gd_iter", -1), ("max_newton_iter", -1)],
+    )
+    def test_options_reject_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MinimizeOptions(**{field: value})
+
+    def test_options_accept_boundaries(self):
+        MinimizeOptions(starts=1, q_max=1, max_gd_iter=0, max_newton_iter=0)
+
+    def test_toy_potential_needs_both_derivatives(self):
+        ell, ell_d, ell_dd = quadratic_kinetic()
+        V, V_d, V_dd = trig_potential([0.01])
+        with pytest.raises(ValueError, match="V_dd"):
+            make_toy_system(ell, ell_d, ell_dd, V, V_d)
+        with pytest.raises(ValueError, match="V_d"):
+            make_toy_system(ell, ell_d, ell_dd, V, V_dd=V_dd)
+
+
 class TestRotationNumber:
     def test_parse_fraction_reduces(self):
         rho = RotationNumber.parse("4/12")
