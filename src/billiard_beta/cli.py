@@ -72,6 +72,14 @@ def parse_rotations(text: str, tol: float) -> list[RotationNumber]:
     return rotations
 
 
+def _farey_grid(qmax: int, include_half: bool) -> list[tuple[int, int]]:
+    grid = farey_fractions(qmax, include_half)
+    if not grid:
+        least = 2 if include_half else 3
+        raise ValueError(f"--qmax {qmax} leaves the Farey grid empty; use --qmax >= {least}")
+    return grid
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path and out_path != "-":
@@ -234,7 +242,7 @@ def render_sweep_svg(curves: dict, outline, orbit) -> str:
 
 def cmd_sweep(args) -> int:
     dom = parse_domain(args.domain)
-    grid = farey_fractions(args.qmax, include_half=False)
+    grid = _farey_grid(args.qmax, include_half=False)
     opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
 
@@ -265,6 +273,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    grid = _farey_grid(args.qmax, include_half=True)
     cos_coeffs = [float(v) for v in args.vcos.split(",") if v] if args.vcos else []
     sin_coeffs = [float(v) for v in args.vsin.split(",") if v] if args.vsin else []
     ell, ell_d, ell_dd = twist.quadratic_kinetic()
@@ -279,7 +288,7 @@ def cmd_toy(args) -> int:
     opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     lines = ["rho,beta_V,beta_0,gap"]
     worst = 0.0
-    for p, q in farey_fractions(args.qmax):
+    for p, q in grid:
         beta_v = minimize_periodic(sys, p, q, opts).beta
         beta_0 = 0.5 * (p / q) ** 2
         gap = beta_0 - beta_v

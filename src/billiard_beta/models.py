@@ -227,12 +227,10 @@ def tangent_intersection(dom: SupportDomain, t0, t1):
 
 def outer_polygon(dom: SupportDomain, cfg: Configuration) -> OuterPolygon:
     """Circumscribed polygon of a tangency configuration and its signed area."""
-    x = cfg.points
-    xn = np.append(x[1:], x[0] + cfg.winding * TWO_PI)
-    gaps = xn - x
+    gaps = cfg.gaps()
     if gaps.min() <= 0.0 or gaps.max() >= math.pi:
         raise ValueError("gap violation")
-    verts = tangent_intersection(dom, x, xn)
+    verts = tangent_intersection(dom, cfg.points, cfg.closed())
     nxt = np.roll(verts, -1, axis=0)
     signed = 0.5 * float(np.sum(verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]))
     return OuterPolygon(verts, signed)
@@ -251,9 +249,7 @@ def polygon_area(vertices: np.ndarray) -> float:
 def config_vertices(dom: SupportDomain, tag: str, cfg: Configuration) -> np.ndarray:
     """Orbit polygon vertices of a configuration, per model convention."""
     if tag == "birkhoff":
-        x = cfg.points
-        xn = np.append(x[1:], x[0] + cfg.winding * TWO_PI)
-        return boundary_xy(dom, 0.5 * (x + xn))
+        return boundary_xy(dom, 0.5 * (cfg.points + cfg.closed()))
     if tag == "symplectic":
         return boundary_xy(dom, cfg.points)
     if tag in ("outer", "fourth"):
@@ -274,7 +270,7 @@ class ChordState:
     alpha: float
 
 
-def _bisect_newton(f, lo, hi, flo, df=None, iters=80):
+def _bisect(f, lo, hi, flo, iters=80):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -284,20 +280,7 @@ def _bisect_newton(f, lo, hi, flo, df=None, iters=80):
             hi = mid
         if hi - lo < 1e-13:
             break
-    root = 0.5 * (lo + hi)
-    if df is not None:
-        for _ in range(4):
-            fr, dr = f(root), df(root)
-            if dr == 0:
-                break
-            step = fr / dr
-            new = root - step
-            if not lo <= new <= hi:
-                break
-            root = new
-            if abs(step) < 1e-15:
-                break
-    return root
+    return 0.5 * (lo + hi)
 
 
 def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
@@ -315,7 +298,7 @@ def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
     flo = f(lo)
     if (flo > 0) == (f(hi) > 0):
         raise RuntimeError("geometry error")
-    psi = _bisect_newton(f, lo, hi, flo)
+    psi = _bisect(f, lo, hi, flo)
     t1 = np.array([-math.sin(psi), math.cos(psi)])
     n1 = np.array([math.cos(psi), math.sin(psi)])
     alpha1 = math.atan2(float(d @ n1), float(d @ t1))
@@ -340,7 +323,7 @@ def _symplectic_step(dom: SupportDomain, t0: float, t1: float):
         if idx.size == 0:
             raise RuntimeError("geometry error")
         lo, hi, flo = grid[idx[0]], grid[idx[0] + 1], vals[idx[0]]
-    t2 = _bisect_newton(f, lo, hi, flo)
+    t2 = _bisect(f, lo, hi, flo)
     return t1, t2
 
 
@@ -358,7 +341,7 @@ def _outer_step(dom: SupportDomain, point: np.ndarray):
         raise RuntimeError("geometry error")
     i = int(down[0])
     lo, hi = grid[i], grid[i] + (TWO_PI / grid.size)
-    theta = _bisect_newton(f, lo, hi, f(lo))
+    theta = _bisect(f, lo, hi, f(lo))
     tangency = boundary_xy(dom, theta)
     return 2.0 * tangency - point, theta
 
@@ -386,9 +369,7 @@ def orbit_deviation(dom: SupportDomain, tag: str, cfg: Configuration) -> float:
     """
     p, q = cfg.winding, cfg.q
     if tag == "birkhoff":
-        x = cfg.points
-        xn = np.append(x[1:], x[0] + p * TWO_PI)
-        psi = 0.5 * (x + xn)  # vertex support angles
+        psi = 0.5 * (cfg.points + cfg.closed())  # vertex support angles
         psi_closed = np.append(psi, psi[0] + p * TWO_PI)
         v0 = boundary_xy(dom, psi[0])
         v1 = boundary_xy(dom, psi_closed[1])
@@ -423,8 +404,7 @@ def orbit_rows(dom: SupportDomain, tag: str, cfg: Configuration):
     """CSV-ready orbit dump rows (k, phi_k, x, y) of the orbit polygon."""
     verts = config_vertices(dom, tag, cfg)
     if tag == "birkhoff":
-        x = cfg.points
-        angles = 0.5 * (x + np.append(x[1:], x[0] + cfg.winding * TWO_PI))
+        angles = 0.5 * (cfg.points + cfg.closed())
     else:
         angles = cfg.points
     return [(k, float(angles[k]), float(v[0]), float(v[1])) for k, v in enumerate(verts)]

@@ -125,10 +125,12 @@ class Configuration:
     def q(self) -> int:
         return int(self.points.size)
 
+    def closed(self) -> np.ndarray:
+        """Successor points x_1 ... x_q, closed by x_q = x_0 + winding * period."""
+        return _closed(self.points, self.winding, self.period)
+
     def gaps(self) -> np.ndarray:
-        x = self.points
-        closed = np.append(x[1:], x[0] + self.winding * self.period)
-        return closed - x
+        return self.closed() - self.points
 
     def translated(self, shift: float) -> "Configuration":
         return Configuration(self.points + shift, self.winding, self.period)
@@ -176,78 +178,79 @@ class MinimizeOptions:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def _require_gaps(sys: TwistSystem, points: np.ndarray, winding: int) -> None:
-    if points.size == 1 and winding == 0:
+def _closed(x: np.ndarray, p: int, period: float) -> np.ndarray:
+    """Successors x_{k+1} along the last axis, closed by x_q = x_0 + p * period."""
+    return np.concatenate([x[..., 1:], x[..., :1] + p * period], axis=-1)
+
+
+def _inadmissible(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions) -> str:
+    """Why the rational rotation number p/q cannot be solved on sys; '' if it can."""
+    if q > opts.q_max:
+        return f"rotation number {p}/{q} has q = {q} > q_max = {opts.q_max}"
+    if not 0.0 < p * sys.period / q < sys.max_gap:
+        return (
+            f"gap violation: rho = {p}/{q} is outside the admissible range "
+            f"0 < rho < {sys.max_gap / sys.period:g} of the {sys.name or 'twist'} model"
+        )
+    return ""
+
+
+def _require_gaps(sys: TwistSystem, cfg: Configuration) -> None:
+    if cfg.q == 1 and cfg.winding == 0:
         return
-    closed = np.append(points[1:], points[0] + winding * sys.period)
-    gaps = closed - points
+    gaps = cfg.gaps()
     if gaps.min() <= 0.0 or gaps.max() >= sys.max_gap:
         raise ValueError("gap violation")
 
 
-def _closed(points: np.ndarray, winding: int, period: float) -> np.ndarray:
-    return np.append(points[1:], points[0] + winding * period)
-
-
 def action(sys: TwistSystem, cfg: Configuration) -> float:
-    _require_gaps(sys, cfg.points, cfg.winding)
-    xn = _closed(cfg.points, cfg.winding, sys.period)
-    return float(np.sum(sys.jet(cfg.points, xn, 0)[0]))
+    _require_gaps(sys, cfg)
+    return float(_action(sys, cfg.points, cfg.winding))
 
 
 def action_gradient(sys: TwistSystem, cfg: Configuration) -> np.ndarray:
-    _require_gaps(sys, cfg.points, cfg.winding)
+    _require_gaps(sys, cfg)
     return _grad(sys, cfg.points, cfg.winding)
+
+
+def _action(sys: TwistSystem, x: np.ndarray, p: int) -> np.ndarray:
+    return np.sum(sys.jet(x, _closed(x, p, sys.period), 0)[0], axis=-1)
 
 
 def _grad(sys: TwistSystem, x: np.ndarray, p: int) -> np.ndarray:
     _, s1, s2 = sys.jet(x, _closed(x, p, sys.period), 1)
-    return s1 + np.roll(s2, 1)
+    return s1 + np.roll(s2, 1, axis=-1)
 
 
-def _action_rows(sys: TwistSystem, rows: np.ndarray, p: int) -> np.ndarray:
-    xn = np.concatenate([rows[:, 1:], rows[:, :1] + p * sys.period], axis=1)
-    return np.sum(sys.jet(rows, xn, 0)[0], axis=1)
-
-
-def _grad_rows(sys: TwistSystem, rows: np.ndarray, p: int) -> np.ndarray:
-    xn = np.concatenate([rows[:, 1:], rows[:, :1] + p * sys.period], axis=1)
-    _, s1, s2 = sys.jet(rows, xn, 1)
-    return s1 + np.roll(s2, 1, axis=1)
-
-
-def _row_gaps(rows: np.ndarray, p: int, period: float) -> np.ndarray:
-    closed = np.concatenate([rows[:, 1:], rows[:, :1] + p * period], axis=1)
-    return closed - rows
-
-
-def _feasible_fraction(rows, steps, p, period, lo, hi):
-    """Largest lambda per row keeping all gaps of rows + lambda*steps in (lo, hi)."""
-    g = _row_gaps(rows, p, period)
-    dg = _row_gaps(steps, 0, period)
+def _feasible_fraction(x, steps, p, period, lo, hi):
+    """Largest lambda per row keeping all gaps of x + lambda*steps in (lo, hi)."""
+    g = _closed(x, p, period) - x
+    dg = _closed(steps, 0, period) - steps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         up = np.where(dg > 0, (hi - g) / np.where(dg > 0, dg, 1.0), np.inf)
         dn = np.where(dg < 0, (lo - g) / np.where(dg < 0, dg, -1.0), np.inf)
-    lam = np.minimum(up.min(axis=1), dn.min(axis=1))
+    lam = np.minimum(up.min(axis=-1), dn.min(axis=-1))
     lam = np.clip(lam, 0.0, 1.0)
     return np.where(lam < 1.0, 0.999 * lam, lam)
 
 
-def _gd_phase(sys, rows, p, opts):
+def _gd_phase(sys, rows, p, opts, free=1.0):
     """Projected gradient descent with adaptive step, vectorized across starts.
 
     Accepted steps update the step length by the Barzilai-Borwein rule
     <s,y>/<y,y>; rejected steps halve it.  Gap constraints are enforced by
-    clipping the step to the feasible fraction.
+    clipping the step to the feasible fraction.  free is 0 at pinned
+    coordinates, whose gradient is masked; rows with a pinned coordinate are
+    never re-randomized.
     """
     q = rows.shape[1]
     gap_min = opts.gap_min_frac * sys.period
     hi = sys.max_gap - gap_min
-    act = _action_rows(sys, rows, p)
-    grad = _grad_rows(sys, rows, p)
+    act = _action(sys, rows, p)
+    grad = _grad(sys, rows, p) * free
     res = np.abs(grad).max(axis=1)
     alpha = 0.01 * sys.period / q / (res + 1e-300)
-    restarted = np.zeros(rows.shape[0], dtype=bool)
+    restarted = np.full(rows.shape[0], np.any(free == 0))
     rng = np.random.default_rng(opts.seed + 1)
     for _ in range(opts.max_gd_iter):
         active = res >= opts.switch_tol
@@ -256,10 +259,10 @@ def _gd_phase(sys, rows, p, opts):
         steps = -alpha[:, None] * grad
         lam = _feasible_fraction(rows, steps, p, sys.period, gap_min, hi)
         trial = rows + (lam * active)[:, None] * steps
-        act_trial = _action_rows(sys, trial, p)
+        act_trial = _action(sys, trial, p)
         improved = active & (act_trial < act)
         if improved.any():
-            grad_trial = _grad_rows(sys, trial, p)
+            grad_trial = _grad(sys, trial, p) * free
             s = trial - rows
             y = grad_trial - grad
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -277,7 +280,7 @@ def _gd_phase(sys, rows, p, opts):
         else:
             alpha = np.where(active, alpha * 0.5, alpha)
         stalled = active & ~improved & (alpha * res < 1e-15 * sys.period)
-        collapse = _row_gaps(rows, p, sys.period).min(axis=1) < 2 * gap_min
+        collapse = (_closed(rows, p, sys.period) - rows).min(axis=1) < 2 * gap_min
         redo = (stalled | (active & collapse)) & ~restarted
         if redo.any():
             base = np.arange(q) * (p * sys.period / q)
@@ -286,8 +289,8 @@ def _gd_phase(sys, rows, p, opts):
                 jit = np.sort(rng.standard_normal(q)) * (1e-3 * p * sys.period / q)
                 rows[i] = base + rng.uniform(0, sys.period) + jit
                 restarted[i] = True
-            act = _action_rows(sys, rows, p)
-            grad = _grad_rows(sys, rows, p)
+            act = _action(sys, rows, p)
+            grad = _grad(sys, rows, p) * free
             res = np.abs(grad).max(axis=1)
         elif not (active & ~stalled).any():
             break
@@ -308,23 +311,12 @@ def _solve_cyclic(diag, e, rhs):
     """Solve the cyclic tridiagonal system in O(q).
 
     Off-diagonal couplings e[k] join unknowns k and k+1; e[-1] is the corner
-    coupling (q-1, 0), removed by a rank-one Sherman-Morrison update.
+    coupling (q-1, 0), removed by a rank-one Sherman-Morrison update.  For
+    q = 2 both couplings join the same pair, which the update also covers.
     """
     q = diag.size
     if q == 1:
-        return rhs / diag
-    if q == 2:
-        m = np.array([[diag[0], e[0] + e[1]], [e[0] + e[1], diag[1]]])
-        return np.linalg.solve(m, rhs)
-    if q == 3:
-        m = np.array(
-            [
-                [diag[0], e[0], e[2]],
-                [e[0], diag[1], e[1]],
-                [e[2], e[1], diag[2]],
-            ]
-        )
-        return np.linalg.solve(m, rhs)
+        return rhs / (diag + 2.0 * e)
     corner = e[-1]
     gamma = -diag[0] if diag[0] != 0 else 1.0
     dmod = diag.copy()
@@ -350,36 +342,39 @@ def _tol_effective(opts, act, q):
     return opts.tol * (1.0 + abs(act / q))
 
 
-def _newton_phase(sys, x, p, opts):
-    """Damped Newton on the criticality equations with gap clipping."""
+def _newton_phase(sys, x, p, opts, free=1.0):
+    """Damped Newton on the criticality equations with gap clipping.
+
+    free is 0 at pinned coordinates: their gradient is masked and their rows
+    of the Hessian are replaced by the identity, so they never move.
+    """
     q = x.size
     gap_min = opts.gap_min_frac * sys.period
     hi = sys.max_gap - gap_min
-    grad = _grad(sys, x, p)
+    pinned = free == 0
+    coupled = free * np.roll(free, -1)
+    grad = _grad(sys, x, p) * free
     res = float(np.abs(grad).max())
     mu = 0.0
     for _ in range(opts.max_newton_iter):
-        act = _action_rows(sys, x[None, :], p)[0]
-        tol_eff = _tol_effective(opts, act, q)
-        if res < tol_eff:
+        if res < _tol_effective(opts, _action(sys, x, p), q):
             return x, res, True
         diag, e = _hessian_parts(sys, x, p)
+        diag[pinned] = 1.0
+        e = e * coupled
         accepted = False
         for _ in range(8):
             try:
-                if q == 1:
-                    delta = -grad / (diag[0] + 2.0 * e[0] + mu)
-                else:
-                    delta = _solve_cyclic(diag + mu, e, -grad)
+                delta = _solve_cyclic(diag + mu, e, -grad) * free
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-12)
                 continue
             if not np.all(np.isfinite(delta)):
                 mu = max(10.0 * mu, 1e-12)
                 continue
-            lam = _feasible_fraction(x[None, :], delta[None, :], p, sys.period, gap_min, hi)[0]
+            lam = _feasible_fraction(x, delta, p, sys.period, gap_min, hi)
             trial = x + lam * delta
-            grad_trial = _grad(sys, trial, p)
+            grad_trial = _grad(sys, trial, p) * free
             res_trial = float(np.abs(grad_trial).max())
             if res_trial < res:
                 x, grad, res = trial, grad_trial, res_trial
@@ -389,8 +384,7 @@ def _newton_phase(sys, x, p, opts):
             mu = max(10.0 * mu, 1e-10)
         if not accepted:
             break
-    act = _action_rows(sys, x[None, :], p)[0]
-    return x, res, res < _tol_effective(opts, act, q)
+    return x, res, res < _tol_effective(opts, _action(sys, x, p), q)
 
 
 def _canonical(sys, x, p):
@@ -399,24 +393,12 @@ def _canonical(sys, x, p):
 
 
 def _minimize_fixed_point(sys, opts):
-    """q = 1, winding 0: minimize S(x, x) over one period."""
+    """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
     grid = np.linspace(0.0, sys.period, 512, endpoint=False)
-    vals = sys.jet(grid, grid, 0)[0]
-    x = float(grid[np.argmin(vals)])
-    for _ in range(opts.max_newton_iter):
-        _, s1, s2, s11, s12, s22 = sys.jet(x, x, 2)
-        h = float(s11 + 2.0 * s12 + s22)
-        if h <= 0:
-            break
-        step = -float(s1 + s2) / h
-        x += step
-        if abs(step) < 1e-14 * sys.period:
-            break
-    s, s1, s2 = sys.jet(x, x, 1)
-    res = abs(float(s1 + s2))
-    beta = float(s)
-    cfg = Configuration(np.array([x % sys.period]), 0, sys.period)
-    return BetaResult(beta, cfg, res, 1, res < _tol_effective(opts, beta, 1))
+    x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
+    x, res, ok = _newton_phase(sys, np.array([x0]), 0, opts)
+    cfg = Configuration(x % sys.period, 0, sys.period)
+    return BetaResult(float(_action(sys, x, 0)), cfg, res, 1, ok)
 
 
 def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> BetaResult:
@@ -436,9 +418,9 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
         if q != 1:
             raise ValueError("winding 0 requires q = 1")
         return _minimize_fixed_point(sys, opts)
+    if why := _inadmissible(sys, p, q, opts):
+        raise ValueError(why)
     gap = p * sys.period / q
-    if not (0.0 < gap < sys.max_gap):
-        raise ValueError("gap violation")
     rng = np.random.default_rng(opts.seed)
     base = np.arange(q) * gap
     shifts = np.arange(opts.starts) * (sys.period / (q * opts.starts))
@@ -449,8 +431,7 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     candidates = []
     for j in range(opts.starts):
         x, res, ok = _newton_phase(sys, rows[j].copy(), p, opts)
-        act = _action_rows(sys, x[None, :], p)[0]
-        candidates.append((float(act), float(res), j, x, ok))
+        candidates.append((float(_action(sys, x, p)), float(res), j, x, ok))
 
     converged = [c for c in candidates if c[4]]
     pool = converged if converged else sorted(candidates, key=lambda c: c[1])[:1]
@@ -471,65 +452,15 @@ def minimize_with_fixed_start(
     opts = opts or MinimizeOptions()
     if q < 2:
         raise ValueError("fixed-start minimization needs q >= 2")
-    gap = p * sys.period / q
-    if not (0.0 < gap < sys.max_gap):
-        raise ValueError("gap violation")
-    gap_min = opts.gap_min_frac * sys.period
-    hi = sys.max_gap - gap_min
-    x = x0 + np.arange(q) * gap
-
-    def pinned_grad(xx):
-        g = _grad(sys, xx, p)
-        g[0] = 0.0
-        return g
-
-    alpha = 0.01 * sys.period / q
-    act = _action_rows(sys, x[None, :], p)[0]
-    for _ in range(opts.max_gd_iter):
-        g = pinned_grad(x)
-        res = float(np.abs(g).max())
-        if res < opts.switch_tol:
-            break
-        step = -alpha * g
-        lam = _feasible_fraction(x[None, :], step[None, :], p, sys.period, gap_min, hi)[0]
-        trial = x + lam * step
-        act_trial = _action_rows(sys, trial[None, :], p)[0]
-        if act_trial < act:
-            x, act, alpha = trial, act_trial, alpha * 1.3
-        else:
-            alpha *= 0.5
-            if alpha * res < 1e-16 * sys.period:
-                break
-
-    for _ in range(opts.max_newton_iter):
-        g = pinned_grad(x)
-        res = float(np.abs(g).max())
-        act = _action_rows(sys, x[None, :], p)[0]
-        if res < _tol_effective(opts, act, q):
-            break
-        diag, e = _hessian_parts(sys, x, p)
-        band = np.zeros((3, q - 1))
-        band[1] = diag[1:]
-        band[0, 1:] = e[1:-1]
-        band[2, :-1] = e[1:-1]
-        try:
-            delta_free = solve_banded((1, 1), band, -g[1:])
-        except np.linalg.LinAlgError:
-            break
-        delta = np.concatenate([[0.0], delta_free])
-        if not np.all(np.isfinite(delta)):
-            break
-        lam = _feasible_fraction(x[None, :], delta[None, :], p, sys.period, gap_min, hi)[0]
-        trial = x + lam * delta
-        if float(np.abs(pinned_grad(trial)).max()) >= res:
-            break
-        x = trial
-
-    g = pinned_grad(x)
-    res = float(np.abs(g).max())
-    act = _action_rows(sys, x[None, :], p)[0]
+    if why := _inadmissible(sys, p, q, opts):
+        raise ValueError(why)
+    free = np.ones(q)
+    free[0] = 0.0
+    start = x0 + np.arange(q) * (p * sys.period / q)
+    x = _gd_phase(sys, start[None, :], p, opts, free)[0]
+    x, res, ok = _newton_phase(sys, x, p, opts, free)
     cfg = Configuration(x, p, sys.period)
-    return BetaResult(float(act) / q, cfg, res, 1, res < _tol_effective(opts, act, q))
+    return BetaResult(float(_action(sys, x, p)) / q, cfg, res, 1, ok)
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> float:
@@ -591,8 +522,7 @@ def beta_irrational_result(
     evals = []
     best = (math.nan, math.nan)
     for p, q in convergents(omega, opts.q_max):
-        gap = p * sys.period / q
-        if not (0.0 < gap < sys.max_gap):
+        if _inadmissible(sys, p, q, opts):
             continue
         evals.append((p / q, beta_rational(sys, p, q, opts), p, q))
         below = sorted((e for e in evals if e[0] < omega), key=lambda e: -e[0])

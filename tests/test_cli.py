@@ -194,10 +194,16 @@ class TestExitCodes:
             (["toy", "--qmax", "4", "--starts", "0"], "starts must be >= 1"),
             (["beta", "--domain", "gutkin:2.7,0.1", "--rot", "1/3"], "mode must be an integer"),
             (["beta", "--domain", "constwidth:0.05,3.5", "--rot", "1/3"], "mode must be an integer"),
+            (["sweep", "--domain", "disk:1", "--qmax", "1", "--svg", "{tmp}/F.svg"], "Farey grid empty"),
+            (["toy", "--qmax", "0"], "Farey grid empty"),
+            (["beta", "--domain", "disk:1", "--model", "outer", "--rot", "0.4999"], "q_max = 2000"),
+            (["verify", "--theorem", "T4.3", "--domain", "disk:1", "--rot", "1/2"],
+             "gap violation: rho = 1/2 is outside the admissible range 0 < rho < 0.5"),
         ],
     )
-    def test_bad_input_fails_fast(self, capsys, argv, message):
-        assert main(argv) == 2
+    def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+        assert not list(tmp_path.iterdir())

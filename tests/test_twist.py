@@ -19,8 +19,10 @@ from billiard_beta.twist import (
     convergents,
     equispaced_average_action,
     farey_fractions,
+    _solve_cyclic,
     make_toy_system,
     minimize_periodic,
+    minimize_with_fixed_start,
     quadratic_kinetic,
     trig_potential,
 )
@@ -143,6 +145,8 @@ class TestMinimizePeriodic:
         sys = make_system(disk(1.0), "outer")
         with pytest.raises(ValueError, match="gap violation"):
             minimize_periodic(sys, 1, 2)
+        with pytest.raises(ValueError, match="q_max"):
+            minimize_periodic(sys, 1, 5, MinimizeOptions(q_max=4))
 
     def test_deterministic(self):
         sys = make_system(ellipse(2, 1), "symplectic")
@@ -150,6 +154,47 @@ class TestMinimizePeriodic:
         r2 = minimize_periodic(sys, 1, 3, MinimizeOptions(seed=5))
         assert r1.beta == r2.beta
         assert np.array_equal(r1.config.points, r2.config.points)
+
+
+class TestSolveCyclic:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 9])
+    def test_matches_dense_solve(self, q):
+        rng = np.random.default_rng(q)
+        diag = rng.uniform(3.0, 5.0, q)
+        e = rng.uniform(-1.0, 1.0, q)
+        rhs = rng.standard_normal(q)
+        dense = np.diag(diag)
+        for k in range(q):
+            dense[k, (k + 1) % q] += e[k]
+            dense[(k + 1) % q, k] += e[k]
+        want = np.linalg.solve(dense, rhs)
+        assert np.abs(_solve_cyclic(diag, e, rhs) - want).max() < 1e-12
+
+
+class TestFixedStart:
+    """Pinned solves against the free multi-start minimum."""
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 5)])
+    def test_pinned_bounds_free(self, p, q):
+        for dom in rigidity.sample_random_domains(3, seed=5):
+            for tag in MODEL_TAGS:
+                sys = make_system(dom, tag)
+                free = minimize_periodic(sys, p, q)
+                for x0 in np.linspace(0.0, sys.period / q, 12, endpoint=False):
+                    res = minimize_with_fixed_start(sys, p, q, x0)
+                    assert res.converged and res.config.points[0] == x0
+                    assert res.beta >= free.beta - 1e-12
+                x0 = free.config.points[0]
+                own = minimize_with_fixed_start(sys, p, q, x0)
+                assert own.converged and own.config.points[0] == x0
+                assert abs(own.beta - free.beta) < 1e-12
+
+    def test_rejects_inadmissible(self):
+        sys = make_system(disk(1.0), "outer")
+        with pytest.raises(ValueError, match="gap violation"):
+            minimize_with_fixed_start(sys, 1, 2, 0.0)
+        with pytest.raises(ValueError, match="q_max"):
+            minimize_with_fixed_start(sys, 1, 5, 0.0, MinimizeOptions(q_max=4))
 
 
 class TestBetaIrrational:
