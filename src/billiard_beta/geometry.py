@@ -60,10 +60,8 @@ class SupportDomain:
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "an", an)
         object.__setattr__(self, "bn", bn)
-        grid = np.linspace(0.0, TWO_PI, _grid_size(self.n_modes), endpoint=False)
-        h = eval_support(self, grid, 0)
-        radius = h + eval_support(self, grid, 2)
-        if h.min() <= 0.0 or radius.min() <= 0.0:
+        h, _, hpp = support_jet(self, self.grid(), 2)
+        if h.min() <= 0.0 or (h + hpp).min() <= 0.0:
             raise ValueError("nonconvex parameters")
 
     @property
@@ -178,18 +176,17 @@ def eval_support(dom: SupportDomain, phi, order: int = 0):
 def boundary_xy(dom: SupportDomain, phi):
     """Boundary points for an array of support angles, shape (..., 2)."""
     phi_arr = np.asarray(phi, dtype=float)
-    h = eval_support(dom, phi_arr, 0)
-    hp = eval_support(dom, phi_arr, 1)
+    h, hp = support_jet(dom, phi_arr, 1)
     c, s = np.cos(phi_arr), np.sin(phi_arr)
     return np.stack([h * c - hp * s, h * s + hp * c], axis=-1)
 
 
 def boundary_point(dom: SupportDomain, phi: float) -> BoundaryPoint:
     phi = float(phi)
-    pos = boundary_xy(dom, phi)
-    tangent = np.array([-math.sin(phi), math.cos(phi)])
-    radius = eval_support(dom, phi, 0) + eval_support(dom, phi, 2)
-    return BoundaryPoint(phi, pos, tangent, float(radius))
+    h, hp, hpp = support_jet(dom, phi, 2)
+    c, s = math.cos(phi), math.sin(phi)
+    pos = np.array([h * c - hp * s, h * s + hp * c])
+    return BoundaryPoint(phi, pos, np.array([-s, c]), float(h + hpp))
 
 
 def perimeter(dom: SupportDomain) -> float:
@@ -200,9 +197,7 @@ def perimeter(dom: SupportDomain) -> float:
 
 def area(dom: SupportDomain) -> float:
     """Enclosed area via the support identity |Omega| = 1/2 int (h^2 - h'^2)."""
-    grid = dom.grid()
-    h = eval_support(dom, grid, 0)
-    hp = eval_support(dom, grid, 1)
+    h, hp = support_jet(dom, dom.grid(), 1)
     return float(0.5 * np.mean(h * h - hp * hp) * TWO_PI)
 
 
@@ -339,7 +334,8 @@ def radon_check(dom: SupportDomain, tol: float = 1e-8, n_grid: int = 256) -> Rad
 
     def support_dot(psi, phi):
         # <gamma(psi), (cos phi, sin phi)>
-        return eval_support(dom, psi, 0) * np.cos(psi - phi) - eval_support(dom, psi, 1) * np.sin(psi - phi)
+        h, hp = support_jet(dom, psi, 1)
+        return h * np.cos(psi - phi) - hp * np.sin(psi - phi)
 
     phi = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
     lo, hi = phi + 1e-12, phi + math.pi - 1e-12

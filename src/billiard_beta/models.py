@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SupportDomain, boundary_xy, eval_support, support_jet
-from .twist import Configuration, TwistSystem
+from .twist import Configuration, TwistSystem, _closed, _roll
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,8 +74,28 @@ def _birkhoff_system(dom: SupportDomain) -> TwistSystem:
     return TwistSystem(TWO_PI, TWO_PI, jet, name="birkhoff")
 
 
+def _two_end_system(name, max_gap, end, edge) -> TwistSystem:
+    """System whose jet is edge(end(x0), end(x1), x0, x1, order).
+
+    end(x, order) is 2 pi-periodic data at the angles x, shape (..., *x.shape).
+    On a closed configuration it runs once, on x: the x_{k+1} end is its cyclic shift.
+    """
+
+    def jet(x0, x1, order):
+        return edge(end(x0, order), end(x1, order), x0, x1, order)
+
+    def cyclic_jet(x, p, order):
+        e0 = end(x, order)
+        return edge(e0, _roll(e0, -1), x, _closed(x, p, TWO_PI), order)
+
+    return TwistSystem(TWO_PI, max_gap, jet, name=name, cyclic_jet=cyclic_jet)
+
+
 def _gamma_jets(h, t):
-    """gamma and its first len(h) - 2 derivatives at t, from the support jet h."""
+    """gamma and its first len(h) - 2 derivatives at t, from the support jet h.
+
+    Shape (len(h) - 1, 2, *t.shape): derivative, then x and y.
+    """
     c, s = np.cos(t), np.sin(t)
     out = [(h[0] * c - h[1] * s, h[0] * s + h[1] * c)]
     if len(h) > 2:
@@ -84,18 +104,19 @@ def _gamma_jets(h, t):
     if len(h) > 3:
         rp = h[1] + h[3]
         out.append((-rp * s - r * c, rp * c - r * s))
-    return out
+    return np.array(out)
 
 
 def _symplectic_system(dom: SupportDomain) -> TwistSystem:
-    def jet(x0, x1, order):
-        g0 = _gamma_jets(support_jet(dom, x0, order + 1), x0)
-        g1 = _gamma_jets(support_jet(dom, x1, order + 1), x1)
+    def end(x, order):
+        return _gamma_jets(support_jet(dom, x, order + 1), x)
+
+    def edge(g0, g1, x0, x1, order):
         # each partial pairs one derivative of gamma at x0 with one at x1
         pairs = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)][: (1, 3, 6)[order]]
         return [-0.5 * _cross(*g0[i], *g1[j]) for i, j in pairs]
 
-    return TwistSystem(TWO_PI, math.pi, jet, name="symplectic")
+    return _two_end_system("symplectic", math.pi, end, edge)
 
 
 def _tangent_wedge(g0, g1, x0, x1):
@@ -142,9 +163,7 @@ def _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp):
 def _outer_system(dom: SupportDomain) -> TwistSystem:
     # per-edge area of the wedge (O, gamma(x0), M, gamma(x1)):
     #   S = (h(x0) lam0 + h(x1) lam1) / 2, summing to the circumscribed area.
-    def jet(x0, x1, order):
-        g0 = support_jet(dom, x0, order + 1)
-        g1 = support_jet(dom, x1, order + 1)
+    def edge(g0, g1, x0, x1, order):
         s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(g0, g1, x0, x1)
         out = [0.5 * (g0[0] * lam0 + g1[0] * lam1)]
         if order >= 1:
@@ -162,13 +181,11 @@ def _outer_system(dom: SupportDomain) -> TwistSystem:
             ]
         return out
 
-    return TwistSystem(TWO_PI, math.pi, jet, name="outer")
+    return _two_end_system("outer", math.pi, lambda x, order: support_jet(dom, x, order + 1), edge)
 
 
 def _fourth_system(dom: SupportDomain) -> TwistSystem:
-    def jet(x0, x1, order):
-        g0 = support_jet(dom, x0, order + 1)
-        g1 = support_jet(dom, x1, order + 1)
+    def edge(g0, g1, x0, x1, order):
         tan = np.tan(0.5 * (np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)))
         total = g0[0] + g1[0]
         out = [g1[1] - g0[1] + total * tan]
@@ -187,7 +204,7 @@ def _fourth_system(dom: SupportDomain) -> TwistSystem:
             ]
         return out
 
-    return TwistSystem(TWO_PI, math.pi, jet, name="fourth")
+    return _two_end_system("fourth", math.pi, lambda x, order: support_jet(dom, x, order + 1), edge)
 
 
 def beta_disk(tag: str, rho: float) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .geometry import SupportDomain, area, eval_support, perimeter
+from .geometry import SupportDomain, area, eval_support, perimeter, support_jet
 from .models import beta_disk, make_system, outer_polygon, polygon_area
 from .twist import (
     Configuration,
@@ -220,9 +220,8 @@ def equispaced_criticality_residual(dom: SupportDomain, rho: float, n_grid: int 
     phi = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     gap = 2.0 * math.pi * rho
     s, c = math.sin(math.pi * rho), math.cos(math.pi * rho)
-    res = (eval_support(dom, phi + gap, 1) + eval_support(dom, phi, 1)) * s - (
-        eval_support(dom, phi + gap, 0) - eval_support(dom, phi, 0)
-    ) * c
+    (h0, h1), (hp0, hp1) = support_jet(dom, np.stack([phi, phi + gap]), 1)
+    res = (hp1 + hp0) * s - (h1 - h0) * c
     return float(np.abs(res).max())
 
 

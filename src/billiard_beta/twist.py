@@ -30,6 +30,10 @@ def _jet_view(jet: Callable, order: int, index: int) -> Callable:
     return lambda x0, x1: jet(x0, x1, order)[index]
 
 
+def _pairwise_cyclic_jet(jet: Callable, period: float) -> Callable:
+    return lambda x, p, order: jet(x, _closed(x, p, period), order)
+
+
 @dataclass(frozen=True)
 class TwistSystem:
     """Generating-function system on a periodic parameter line.
@@ -40,14 +44,19 @@ class TwistSystem:
     S(x0 + period, x1 + period) = S(x0, x1) and have negative mixed second
     derivative (positive twist) on the admissible strip 0 < x1 - x0 < max_gap.
 
+    cyclic_jet(x, p, order), the only jet the engine calls, equals
+    jet(x, _closed(x, p, period), order) on configurations x (last axis), and
+    is that by default.  A model may compute it from one evaluation on x.
+
     The fields S ... S22 are single-component views of jet, filled in when
-    not given; the engine itself calls jet.
+    not given.
     """
 
     period: float
     max_gap: float
     jet: Callable
     name: str = ""
+    cyclic_jet: Callable = None
     S: Callable = None
     S1: Callable = None
     S2: Callable = None
@@ -56,6 +65,8 @@ class TwistSystem:
     S22: Callable = None
 
     def __post_init__(self):
+        if self.cyclic_jet is None:
+            object.__setattr__(self, "cyclic_jet", _pairwise_cyclic_jet(self.jet, self.period))
         for key, (order, index) in _JET_VIEWS.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, _jet_view(self.jet, order, index))
@@ -183,6 +194,11 @@ def _closed(x: np.ndarray, p: int, period: float) -> np.ndarray:
     return np.concatenate([x[..., 1:], x[..., :1] + p * period], axis=-1)
 
 
+def _roll(a: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(a, shift, axis=-1) for |shift| = 1; concatenation is cheaper on short arrays."""
+    return np.concatenate([a[..., -shift:], a[..., :-shift]], axis=-1)
+
+
 def _inadmissible(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions) -> str:
     """Why the rational rotation number p/q cannot be solved on sys; '' if it can."""
     if q > opts.q_max:
@@ -205,21 +221,29 @@ def _require_gaps(sys: TwistSystem, cfg: Configuration) -> None:
 
 def action(sys: TwistSystem, cfg: Configuration) -> float:
     _require_gaps(sys, cfg)
-    return float(_action(sys, cfg.points, cfg.winding))
+    return float(_evaluate(sys, cfg.points, cfg.winding, 0)[0])
 
 
 def action_gradient(sys: TwistSystem, cfg: Configuration) -> np.ndarray:
     _require_gaps(sys, cfg)
-    return _grad(sys, cfg.points, cfg.winding)
+    return _evaluate(sys, cfg.points, cfg.winding, 1)[1]
 
 
-def _action(sys: TwistSystem, x: np.ndarray, p: int) -> np.ndarray:
-    return np.sum(sys.jet(x, _closed(x, p, sys.period), 0)[0], axis=-1)
+def _evaluate(sys: TwistSystem, x: np.ndarray, p: int, order: int) -> list:
+    """Periodic action of the configurations x (last axis) from one cyclic jet.
 
-
-def _grad(sys: TwistSystem, x: np.ndarray, p: int) -> np.ndarray:
-    _, s1, s2 = sys.jet(x, _closed(x, p, sys.period), 1)
-    return s1 + np.roll(s2, 1, axis=-1)
+    Returns [A] for order 0, [A, grad] for order 1 and [A, grad, diag, e] for
+    order 2, where diag and e are the diagonal and the cyclic off-diagonal
+    (e[k] couples x_k and x_{k+1}) of the action Hessian.  For q = 1 the
+    single edge couples x to itself, so diag + 2 e[0] is the whole Hessian.
+    """
+    jet = sys.cyclic_jet(x, p, order)
+    out = [np.sum(jet[0], axis=-1)]
+    if order >= 1:
+        out.append(jet[1] + _roll(jet[2], 1))
+    if order >= 2:
+        out += [jet[3] + _roll(jet[5], 1), jet[4]]
+    return out
 
 
 def _feasible_fraction(x, steps, p, period, lo, hi):
@@ -246,8 +270,8 @@ def _gd_phase(sys, rows, p, opts, free=1.0):
     q = rows.shape[1]
     gap_min = opts.gap_min_frac * sys.period
     hi = sys.max_gap - gap_min
-    act = _action(sys, rows, p)
-    grad = _grad(sys, rows, p) * free
+    act, grad = _evaluate(sys, rows, p, 1)
+    grad = grad * free
     res = np.abs(grad).max(axis=1)
     alpha = 0.01 * sys.period / q / (res + 1e-300)
     restarted = np.full(rows.shape[0], np.any(free == 0))
@@ -259,10 +283,10 @@ def _gd_phase(sys, rows, p, opts, free=1.0):
         steps = -alpha[:, None] * grad
         lam = _feasible_fraction(rows, steps, p, sys.period, gap_min, hi)
         trial = rows + (lam * active)[:, None] * steps
-        act_trial = _action(sys, trial, p)
+        act_trial, grad_trial = _evaluate(sys, trial, p, 1)
         improved = active & (act_trial < act)
         if improved.any():
-            grad_trial = _grad(sys, trial, p) * free
+            grad_trial = grad_trial * free
             s = trial - rows
             y = grad_trial - grad
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -289,22 +313,12 @@ def _gd_phase(sys, rows, p, opts, free=1.0):
                 jit = np.sort(rng.standard_normal(q)) * (1e-3 * p * sys.period / q)
                 rows[i] = base + rng.uniform(0, sys.period) + jit
                 restarted[i] = True
-            act = _action(sys, rows, p)
-            grad = _grad(sys, rows, p) * free
+            act, grad = _evaluate(sys, rows, p, 1)
+            grad = grad * free
             res = np.abs(grad).max(axis=1)
         elif not (active & ~stalled).any():
             break
     return rows
-
-
-def _hessian_parts(sys, x, p):
-    """Diagonal and cyclic off-diagonal of the action Hessian.
-
-    For q = 1 the single edge couples x to itself, so diag + 2 e[0] is the
-    whole Hessian.
-    """
-    *_, d1, e, d2 = sys.jet(x, _closed(x, p, sys.period), 2)
-    return d1 + np.roll(d2, 1), e
 
 
 def _solve_cyclic(diag, e, rhs):
@@ -345,21 +359,23 @@ def _tol_effective(opts, act, q):
 def _newton_phase(sys, x, p, opts, free=1.0):
     """Damped Newton on the criticality equations with gap clipping.
 
-    free is 0 at pinned coordinates: their gradient is masked and their rows
-    of the Hessian are replaced by the identity, so they never move.
+    One order-2 evaluation per trial point gives the action, gradient and
+    Hessian at an accepted step.  free is 0 at pinned coordinates: their
+    gradient is masked and their rows of the Hessian are replaced by the
+    identity, so they never move.  Returns (x, action, residual, converged).
     """
     q = x.size
     gap_min = opts.gap_min_frac * sys.period
     hi = sys.max_gap - gap_min
     pinned = free == 0
     coupled = free * np.roll(free, -1)
-    grad = _grad(sys, x, p) * free
+    act, grad, diag, e = _evaluate(sys, x, p, 2)
+    grad = grad * free
     res = float(np.abs(grad).max())
     mu = 0.0
     for _ in range(opts.max_newton_iter):
-        if res < _tol_effective(opts, _action(sys, x, p), q):
-            return x, res, True
-        diag, e = _hessian_parts(sys, x, p)
+        if res < _tol_effective(opts, act, q):
+            return x, act, res, True
         diag[pinned] = 1.0
         e = e * coupled
         accepted = False
@@ -374,17 +390,19 @@ def _newton_phase(sys, x, p, opts, free=1.0):
                 continue
             lam = _feasible_fraction(x, delta, p, sys.period, gap_min, hi)
             trial = x + lam * delta
-            grad_trial = _grad(sys, trial, p) * free
+            act_trial, grad_trial, diag_trial, e_trial = _evaluate(sys, trial, p, 2)
+            grad_trial = grad_trial * free
             res_trial = float(np.abs(grad_trial).max())
             if res_trial < res:
-                x, grad, res = trial, grad_trial, res_trial
+                x, act, grad, res = trial, act_trial, grad_trial, res_trial
+                diag, e = diag_trial, e_trial
                 mu *= 0.25
                 accepted = True
                 break
             mu = max(10.0 * mu, 1e-10)
         if not accepted:
             break
-    return x, res, res < _tol_effective(opts, _action(sys, x, p), q)
+    return x, act, res, res < _tol_effective(opts, act, q)
 
 
 def _canonical(sys, x, p):
@@ -396,9 +414,9 @@ def _minimize_fixed_point(sys, opts):
     """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
     grid = np.linspace(0.0, sys.period, 512, endpoint=False)
     x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
-    x, res, ok = _newton_phase(sys, np.array([x0]), 0, opts)
+    x, act, res, ok = _newton_phase(sys, np.array([x0]), 0, opts)
     cfg = Configuration(x % sys.period, 0, sys.period)
-    return BetaResult(float(_action(sys, x, 0)), cfg, res, 1, ok)
+    return BetaResult(float(act), cfg, res, 1, ok)
 
 
 def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> BetaResult:
@@ -408,8 +426,11 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     j*period/(q*starts), each with one small random jitter (deterministic
     seed).  Two phases per start: projected gradient descent to a residual of
     switch_tol, then Newton on the cyclic tridiagonal criticality system.
-    Ties among converged starts break by lowest action, then lowest residual,
-    then start index.
+    The result is the lowest-index converged start whose action lies within
+    tol * (q + |A|) of the lowest converged action A.  The members of a
+    degenerate minimizer family (every phase minimal) have actions equal up
+    to rounding, so rounding does not decide which one is reported.  With no
+    converged start, the lowest residual wins.
     """
     opts = opts or MinimizeOptions()
     if q < 1 or p < 0:
@@ -428,14 +449,14 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     rows = rows + rng.standard_normal(rows.shape) * (opts.jitter * gap)
     rows = _gd_phase(sys, rows, p, opts)
 
-    candidates = []
-    for j in range(opts.starts):
-        x, res, ok = _newton_phase(sys, rows[j].copy(), p, opts)
-        candidates.append((float(_action(sys, x, p)), float(res), j, x, ok))
-
-    converged = [c for c in candidates if c[4]]
-    pool = converged if converged else sorted(candidates, key=lambda c: c[1])[:1]
-    act, res, _, x, ok = min(pool, key=lambda c: (c[0], c[1], c[2]))
+    candidates = [_newton_phase(sys, row.copy(), p, opts) for row in rows]
+    converged = [c for c in candidates if c[3]]
+    if converged:
+        best = min(c[1] for c in converged)
+        margin = q * _tol_effective(opts, best, q)
+        x, act, res, ok = next(c for c in converged if c[1] <= best + margin)
+    else:
+        x, act, res, ok = min(candidates, key=lambda c: c[2])
     x = _canonical(sys, x, p)
     cfg = Configuration(x, p, sys.period)
     return BetaResult(float(act) / q, cfg, float(res), opts.starts, bool(ok))
@@ -458,9 +479,9 @@ def minimize_with_fixed_start(
     free[0] = 0.0
     start = x0 + np.arange(q) * (p * sys.period / q)
     x = _gd_phase(sys, start[None, :], p, opts, free)[0]
-    x, res, ok = _newton_phase(sys, x, p, opts, free)
+    x, act, res, ok = _newton_phase(sys, x, p, opts, free)
     cfg = Configuration(x, p, sys.period)
-    return BetaResult(float(_action(sys, x, p)) / q, cfg, res, 1, ok)
+    return BetaResult(float(act) / q, cfg, res, 1, ok)
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> float:

@@ -8,7 +8,7 @@ import pytest
 from billiard_beta import rigidity
 from billiard_beta.geometry import SupportDomain, disk, ellipse, eval_support, support_jet
 from billiard_beta.models import MODEL_TAGS, make_system
-from billiard_beta.twist import beta_irrational_result, make_toy_system, quadratic_kinetic, trig_potential
+from billiard_beta.twist import _closed, beta_irrational_result, make_toy_system, quadratic_kinetic, trig_potential
 
 TWO_PI = 2 * math.pi
 VIEWS = ("S", "S1", "S2", "S11", "S12", "S22")
@@ -135,6 +135,26 @@ class TestModelJet:
         assert_close(S12, diff(1, 0.0, step), 1e-6)
         assert_close(S12, diff(2, step, 0.0), 1e-6)
         assert_close(S22, diff(2, 0.0, step), 1e-6)
+
+
+class TestCyclicJet:
+    """cyclic_jet on a closed configuration equals the pairwise jet on its edges."""
+
+    @pytest.mark.parametrize("system", model_systems() + [toy()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_pairwise_jet(self, system, p):
+        q = 7  # p / q < 1/2 keeps every gap admissible for each model
+        rng = np.random.default_rng(p)
+        base = np.arange(q) * (p * system.period / q)
+        for shape in ((4, q), (q,)):
+            x0 = rng.uniform(-3 * system.period, 3 * system.period, shape[:-1] + (1,))
+            x = x0 + base + rng.uniform(-0.05, 0.05, shape) * (system.period / q)
+            for order in (0, 1, 2):
+                got = system.cyclic_jet(x, p, order)
+                want = system.jet(x, _closed(x, p, system.period), order)
+                assert len(got) == len(want) == (1, 3, 6)[order]
+                for g, w in zip(got, want):
+                    assert_close(g, w, 1e-12)
 
 
 # Brackets of beta(1/sqrt(10)) on ellipse(1.5, 0.8), tol 1e-6, recorded with

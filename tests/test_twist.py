@@ -11,6 +11,8 @@ from billiard_beta.twist import (
     Configuration,
     MinimizeOptions,
     RotationNumber,
+    TwistSystem,
+    _evaluate,
     action,
     action_gradient,
     beta_irrational,
@@ -109,6 +111,28 @@ class TestGradient:
         assert np.abs(g - V_d(cfg.points)).max() < 1e-12
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_hessian_matches_gradient_differences(self, tag):
+        sys = make_system(ellipse(1.5, 0.8), tag)
+        rng = np.random.default_rng(7)
+        q, p = 5, 2
+        x = 0.4 + np.arange(q) * (p * 2 * math.pi / q) + rng.uniform(-0.1, 0.1, q)
+        act, grad, diag, e = _evaluate(sys, x, p, 2)
+        assert act == pytest.approx(action(sys, Configuration(x, p, 2 * math.pi)), abs=1e-12)
+        assert np.allclose(grad, action_gradient(sys, Configuration(x, p, 2 * math.pi)), atol=1e-12)
+        hess = np.diag(diag)
+        for k in range(q):
+            hess[k, (k + 1) % q] += e[k]
+            hess[(k + 1) % q, k] += e[k]
+        step = 1e-6
+        for k in range(q):
+            dx = np.zeros(q)
+            dx[k] = step
+            column = (_evaluate(sys, x + dx, p, 1)[1] - _evaluate(sys, x - dx, p, 1)[1]) / (2 * step)
+            assert np.allclose(hess[:, k], column, atol=1e-6)
+
+
 class TestMinimizePeriodic:
     def test_disk_closed_forms(self):
         d = disk(1.0)
@@ -154,6 +178,33 @@ class TestMinimizePeriodic:
         r2 = minimize_periodic(sys, 1, 3, MinimizeOptions(seed=5))
         assert r1.beta == r2.beta
         assert np.array_equal(r1.config.points, r2.config.points)
+
+
+def noisy(system, seed):
+    """The system with S multiplied by 1 + 1e-15 * noise: rounding-level changes only."""
+    rng = np.random.default_rng(seed)
+
+    def jet(x0, x1, order):
+        out = system.jet(x0, x1, order)
+        out[0] = out[0] * (1.0 + 1e-15 * rng.standard_normal(np.shape(out[0])))
+        return out
+
+    return TwistSystem(system.period, system.max_gap, jet, name=system.name)
+
+
+class TestDegenerateFamily:
+    # On ellipse(2, 1) at 1/3 every phase is minimal for these models, so the
+    # converged starts' actions agree up to rounding.
+    @pytest.mark.parametrize("tag", ["symplectic", "outer", "fourth"])
+    def test_reported_member_ignores_rounding(self, tag):
+        sys = make_system(ellipse(2, 1), tag)
+        results = [minimize_periodic(noisy(sys, seed), 1, 3) for seed in range(4)]
+        results.append(minimize_periodic(sys, 1, 3))
+        first = results[0].config.points[0]
+        for res in results:
+            assert res.converged
+            assert res.beta == pytest.approx(results[0].beta, abs=1e-12)
+            assert abs(res.config.points[0] - first) < 1e-6
 
 
 class TestSolveCyclic:
