@@ -65,7 +65,6 @@ from .twist import (
     action_gradient,
     beta_irrational,
     beta_irrational_result,
-    beta_of,
     beta_rational,
     equispaced_average_action,
     farey_fractions,

@@ -277,14 +277,8 @@ def cmd_toy(args) -> int:
     cos_coeffs = [float(v) for v in args.vcos.split(",") if v] if args.vcos else []
     sin_coeffs = [float(v) for v in args.vsin.split(",") if v] if args.vsin else []
     ell, ell_d, ell_dd = twist.quadratic_kinetic()
-    if cos_coeffs or sin_coeffs:
-        pad = max(len(cos_coeffs), len(sin_coeffs))
-        cos_coeffs += [0.0] * (pad - len(cos_coeffs))
-        sin_coeffs += [0.0] * (pad - len(sin_coeffs))
-        V, V_d, V_dd = twist.trig_potential(cos_coeffs, sin_coeffs)
-        sys = twist.make_toy_system(ell, ell_d, ell_dd, V, V_d, V_dd)
-    else:
-        sys = twist.make_toy_system(ell, ell_d, ell_dd)
+    V, V_d, V_dd = twist.trig_potential(cos_coeffs, sin_coeffs)
+    sys = twist.make_toy_system(ell, ell_d, ell_dd, V, V_d, V_dd)
     opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     lines = ["rho,beta_V,beta_0,gap"]
     worst = 0.0

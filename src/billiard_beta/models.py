@@ -234,8 +234,7 @@ class OuterPolygon:
 
 def tangent_intersection(dom: SupportDomain, t0, t1):
     """Intersection of the tangent lines at support angles t0, t1 (gap < pi)."""
-    h0 = eval_support(dom, t0, 0)
-    h1 = eval_support(dom, t1, 0)
+    h0, h1 = support_jet(dom, np.stack([t0, t1]), 0)[0]
     s = np.sin(np.asarray(t1) - np.asarray(t0))
     x = (h0 * np.sin(t1) - h1 * np.sin(t0)) / s
     y = (h1 * np.cos(t0) - h0 * np.cos(t1)) / s
@@ -248,9 +247,7 @@ def outer_polygon(dom: SupportDomain, cfg: Configuration) -> OuterPolygon:
     if gaps.min() <= 0.0 or gaps.max() >= math.pi:
         raise ValueError("gap violation")
     verts = tangent_intersection(dom, cfg.points, cfg.closed())
-    nxt = np.roll(verts, -1, axis=0)
-    signed = 0.5 * float(np.sum(verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]))
-    return OuterPolygon(verts, signed)
+    return OuterPolygon(verts, polygon_area(verts))
 
 
 def polygon_perimeter(vertices: np.ndarray) -> float:

@@ -29,8 +29,6 @@ from .twist import (
 EQ_TOL = 1e-6
 NUM_TOL = 1e-8
 
-THEOREM_TAGS = ("T4.2", "T4.3", "T4.4", "C6.3", "P6.9", "CE6.5", "T6.4", "T6.10")
-
 _MAIN_MODEL = {"T4.2": "birkhoff", "T4.3": "symplectic", "T4.4": "fourth"}
 
 
@@ -386,14 +384,7 @@ def outer_counterexample(
     )
 
 
-def invariant_curve_spread(
-    dom: SupportDomain,
-    tag: str,
-    p: int,
-    q: int,
-    n_phase: int = 12,
-    opts: MinimizeOptions | None = None,
-) -> float:
+def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int, n_phase: int = 12) -> float:
     """Spread of pinned minimal actions across phases.
 
     A vanishing spread certifies numerically that every phase carries a
@@ -401,7 +392,7 @@ def invariant_curve_spread(
     """
     sys = make_system(dom, tag)
     actions = [
-        minimize_with_fixed_start(sys, p, q, x0, opts).beta
+        minimize_with_fixed_start(sys, p, q, x0).beta
         for x0 in np.linspace(0.0, sys.period / q, n_phase, endpoint=False)
     ]
     return float(max(actions) - min(actions))
@@ -425,7 +416,7 @@ def outer_rigidity_theorem(
     theorem = {(1, 3): "T6.4", (1, 4): "T6.10"}.get((frac.numerator, frac.denominator))
     if theorem is None:
         raise ValueError("outer rigidity is stated for rho in {1/3, 1/4}")
-    spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator, opts=opts)
+    spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator, opts)
     rhs = (area(dom) / math.pi) * beta_disk("outer", float(frac))
     return _report(

@@ -165,28 +165,25 @@ class BetaResult:
         }
 
 
+# Solver constants.  TOL is the Newton residual target relative to
+# 1 + |A|/q; the descent hands over to Newton at a residual of SWITCH_TOL.
+TOL = 1e-10
+SWITCH_TOL = 1e-4
+MAX_GD_ITER = 4000
+MAX_NEWTON_ITER = 80
+JITTER = 1e-3  # start jitter, as a fraction of the equispaced gap
+GAP_MIN_FRAC = 1e-9  # smallest gap kept by the solvers, as a fraction of the period
+Q_MAX = 2000  # largest denominator solved or used in a bracket
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
-    tol: float = 1e-10
     starts: int = 8
     seed: int = 0
-    switch_tol: float = 1e-4
-    max_gd_iter: int = 4000
-    max_newton_iter: int = 80
-    jitter: float = 1e-3
-    gap_min_frac: float = 1e-9
-    q_max: int = 2000
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.q_max < 1:
-            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
-        for name in ("max_gd_iter", "max_newton_iter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _closed(x: np.ndarray, p: int, period: float) -> np.ndarray:
@@ -199,10 +196,10 @@ def _roll(a: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate([a[..., -shift:], a[..., :-shift]], axis=-1)
 
 
-def _inadmissible(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions) -> str:
+def _inadmissible(sys: TwistSystem, p: int, q: int) -> str:
     """Why the rational rotation number p/q cannot be solved on sys; '' if it can."""
-    if q > opts.q_max:
-        return f"rotation number {p}/{q} has q = {q} > q_max = {opts.q_max}"
+    if q > Q_MAX:
+        return f"rotation number {p}/{q} has q = {q} > q_max = {Q_MAX}"
     if not 0.0 < p * sys.period / q < sys.max_gap:
         return (
             f"gap violation: rho = {p}/{q} is outside the admissible range "
@@ -258,26 +255,24 @@ def _feasible_fraction(x, steps, p, period, lo, hi):
     return np.where(lam < 1.0, 0.999 * lam, lam)
 
 
-def _gd_phase(sys, rows, p, opts, free=1.0):
+def _gd_phase(sys, rows, p, free=1.0):
     """Projected gradient descent with adaptive step, vectorized across starts.
 
     Accepted steps update the step length by the Barzilai-Borwein rule
     <s,y>/<y,y>; rejected steps halve it.  Gap constraints are enforced by
     clipping the step to the feasible fraction.  free is 0 at pinned
-    coordinates, whose gradient is masked; rows with a pinned coordinate are
-    never re-randomized.
+    coordinates, whose gradient is masked.  A row stalls when its step falls
+    below rounding; the descent ends when every active row has stalled.
     """
     q = rows.shape[1]
-    gap_min = opts.gap_min_frac * sys.period
+    gap_min = GAP_MIN_FRAC * sys.period
     hi = sys.max_gap - gap_min
     act, grad = _evaluate(sys, rows, p, 1)
     grad = grad * free
     res = np.abs(grad).max(axis=1)
     alpha = 0.01 * sys.period / q / (res + 1e-300)
-    restarted = np.full(rows.shape[0], np.any(free == 0))
-    rng = np.random.default_rng(opts.seed + 1)
-    for _ in range(opts.max_gd_iter):
-        active = res >= opts.switch_tol
+    for _ in range(MAX_GD_ITER):
+        active = res >= SWITCH_TOL
         if not active.any():
             break
         steps = -alpha[:, None] * grad
@@ -304,19 +299,7 @@ def _gd_phase(sys, rows, p, opts, free=1.0):
         else:
             alpha = np.where(active, alpha * 0.5, alpha)
         stalled = active & ~improved & (alpha * res < 1e-15 * sys.period)
-        collapse = (_closed(rows, p, sys.period) - rows).min(axis=1) < 2 * gap_min
-        redo = (stalled | (active & collapse)) & ~restarted
-        if redo.any():
-            base = np.arange(q) * (p * sys.period / q)
-            rows = rows.copy()
-            for i in np.flatnonzero(redo):
-                jit = np.sort(rng.standard_normal(q)) * (1e-3 * p * sys.period / q)
-                rows[i] = base + rng.uniform(0, sys.period) + jit
-                restarted[i] = True
-            act, grad = _evaluate(sys, rows, p, 1)
-            grad = grad * free
-            res = np.abs(grad).max(axis=1)
-        elif not (active & ~stalled).any():
+        if not (active & ~stalled).any():
             break
     return rows
 
@@ -352,11 +335,11 @@ def _solve_cyclic(diag, e, rhs):
     return sol - factor * z
 
 
-def _tol_effective(opts, act, q):
-    return opts.tol * (1.0 + abs(act / q))
+def _tol_effective(act, q):
+    return TOL * (1.0 + abs(act / q))
 
 
-def _newton_phase(sys, x, p, opts, free=1.0):
+def _newton_phase(sys, x, p, free=1.0):
     """Damped Newton on the criticality equations with gap clipping.
 
     One order-2 evaluation per trial point gives the action, gradient and
@@ -365,7 +348,7 @@ def _newton_phase(sys, x, p, opts, free=1.0):
     identity, so they never move.  Returns (x, action, residual, converged).
     """
     q = x.size
-    gap_min = opts.gap_min_frac * sys.period
+    gap_min = GAP_MIN_FRAC * sys.period
     hi = sys.max_gap - gap_min
     pinned = free == 0
     coupled = free * np.roll(free, -1)
@@ -373,8 +356,8 @@ def _newton_phase(sys, x, p, opts, free=1.0):
     grad = grad * free
     res = float(np.abs(grad).max())
     mu = 0.0
-    for _ in range(opts.max_newton_iter):
-        if res < _tol_effective(opts, act, q):
+    for _ in range(MAX_NEWTON_ITER):
+        if res < _tol_effective(act, q):
             return x, act, res, True
         diag[pinned] = 1.0
         e = e * coupled
@@ -402,19 +385,19 @@ def _newton_phase(sys, x, p, opts, free=1.0):
             mu = max(10.0 * mu, 1e-10)
         if not accepted:
             break
-    return x, act, res, res < _tol_effective(opts, act, q)
+    return x, act, res, res < _tol_effective(act, q)
 
 
-def _canonical(sys, x, p):
+def _canonical(sys, x):
     shift = math.floor(x[0] / sys.period)
     return x - shift * sys.period
 
 
-def _minimize_fixed_point(sys, opts):
+def _minimize_fixed_point(sys):
     """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
     grid = np.linspace(0.0, sys.period, 512, endpoint=False)
     x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
-    x, act, res, ok = _newton_phase(sys, np.array([x0]), 0, opts)
+    x, act, res, ok = _newton_phase(sys, np.array([x0]), 0)
     cfg = Configuration(x % sys.period, 0, sys.period)
     return BetaResult(float(act), cfg, res, 1, ok)
 
@@ -425,9 +408,9 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     Multi-start: `starts` equispaced configurations, phase-shifted by
     j*period/(q*starts), each with one small random jitter (deterministic
     seed).  Two phases per start: projected gradient descent to a residual of
-    switch_tol, then Newton on the cyclic tridiagonal criticality system.
+    SWITCH_TOL, then Newton on the cyclic tridiagonal criticality system.
     The result is the lowest-index converged start whose action lies within
-    tol * (q + |A|) of the lowest converged action A.  The members of a
+    TOL * (q + |A|) of the lowest converged action A.  The members of a
     degenerate minimizer family (every phase minimal) have actions equal up
     to rounding, so rounding does not decide which one is reported.  With no
     converged start, the lowest residual wins.
@@ -438,48 +421,45 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     if p == 0:
         if q != 1:
             raise ValueError("winding 0 requires q = 1")
-        return _minimize_fixed_point(sys, opts)
-    if why := _inadmissible(sys, p, q, opts):
+        return _minimize_fixed_point(sys)
+    if why := _inadmissible(sys, p, q):
         raise ValueError(why)
     gap = p * sys.period / q
     rng = np.random.default_rng(opts.seed)
     base = np.arange(q) * gap
     shifts = np.arange(opts.starts) * (sys.period / (q * opts.starts))
     rows = shifts[:, None] + base[None, :]
-    rows = rows + rng.standard_normal(rows.shape) * (opts.jitter * gap)
-    rows = _gd_phase(sys, rows, p, opts)
+    rows = rows + rng.standard_normal(rows.shape) * (JITTER * gap)
+    rows = _gd_phase(sys, rows, p)
 
-    candidates = [_newton_phase(sys, row.copy(), p, opts) for row in rows]
+    candidates = [_newton_phase(sys, row.copy(), p) for row in rows]
     converged = [c for c in candidates if c[3]]
     if converged:
         best = min(c[1] for c in converged)
-        margin = q * _tol_effective(opts, best, q)
+        margin = q * _tol_effective(best, q)
         x, act, res, ok = next(c for c in converged if c[1] <= best + margin)
     else:
         x, act, res, ok = min(candidates, key=lambda c: c[2])
-    x = _canonical(sys, x, p)
+    x = _canonical(sys, x)
     cfg = Configuration(x, p, sys.period)
     return BetaResult(float(act) / q, cfg, float(res), opts.starts, bool(ok))
 
 
-def minimize_with_fixed_start(
-    sys: TwistSystem, p: int, q: int, x0: float, opts: MinimizeOptions | None = None
-) -> BetaResult:
+def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> BetaResult:
     """Minimize the periodic action over configurations pinned at x_0 = x0.
 
     Used to certify invariant curves of periodic orbits: if the pinned minimal
     action is independent of x0, every phase carries a minimal orbit.
     """
-    opts = opts or MinimizeOptions()
     if q < 2:
         raise ValueError("fixed-start minimization needs q >= 2")
-    if why := _inadmissible(sys, p, q, opts):
+    if why := _inadmissible(sys, p, q):
         raise ValueError(why)
     free = np.ones(q)
     free[0] = 0.0
     start = x0 + np.arange(q) * (p * sys.period / q)
-    x = _gd_phase(sys, start[None, :], p, opts, free)[0]
-    x, act, res, ok = _newton_phase(sys, x, p, opts, free)
+    x = _gd_phase(sys, start[None, :], p, free)[0]
+    x, act, res, ok = _newton_phase(sys, x, p, free)
     cfg = Configuration(x, p, sys.period)
     return BetaResult(float(act) / q, cfg, res, 1, ok)
 
@@ -534,50 +514,46 @@ def beta_irrational_result(
     extrapolated to omega, is a lower bound.  Convergents whose equispaced
     gap is inadmissible for the system are skipped.
     """
-    opts = opts or MinimizeOptions()
-    frac = Fraction(omega).limit_denominator(opts.q_max)
+    frac = Fraction(omega).limit_denominator(Q_MAX)
     if float(frac) == float(omega):
         val = beta_rational(sys, frac.numerator, frac.denominator, opts)
         return IrrationalBetaResult(val, val, val, True, ((frac.numerator, frac.denominator, val),))
 
+    # Convergents approach omega from alternate sides, each nearer than the
+    # earlier ones on its side: (rho, beta) per side, nearest last.
     evals = []
+    below, above = [], []
     best = (math.nan, math.nan)
-    for p, q in convergents(omega, opts.q_max):
-        if _inadmissible(sys, p, q, opts):
+    for p, q in convergents(omega, Q_MAX):
+        if _inadmissible(sys, p, q):
             continue
-        evals.append((p / q, beta_rational(sys, p, q, opts), p, q))
-        below = sorted((e for e in evals if e[0] < omega), key=lambda e: -e[0])
-        above = sorted((e for e in evals if e[0] > omega), key=lambda e: e[0])
+        b = beta_rational(sys, p, q, opts)
+        evals.append((p, q, b))
+        if p / q < omega:
+            below.append((p / q, b))
+        elif p / q > omega:
+            above.append((p / q, b))
         if not below or not above:
             continue
-        (rl, bl, *_), (rr, br, *_) = below[0], above[0]
+        (rl, bl), (rr, br) = below[-1], above[-1]
         upper = bl + (br - bl) * (omega - rl) / (rr - rl)
         lower = -math.inf
         for side in (below, above):
             if len(side) >= 2:
-                (r1, b1, *_), (r2, b2, *_) = side[0], side[1]
+                (r1, b1), (r2, b2) = side[-1], side[-2]
                 lower = max(lower, b1 + (b2 - b1) * (omega - r1) / (r2 - r1))
         best = (lower, upper)
         if upper - lower < tol:
-            return IrrationalBetaResult(
-                0.5 * (lower + upper), lower, upper, True, tuple((p, q, b) for r, b, p, q in evals)
-            )
+            return IrrationalBetaResult(0.5 * (lower + upper), lower, upper, True, tuple(evals))
     lower, upper = best
     value = upper if math.isinf(lower) or math.isnan(lower) else 0.5 * (lower + upper)
-    return IrrationalBetaResult(value, lower, upper, False, tuple((p, q, b) for r, b, p, q in evals))
+    return IrrationalBetaResult(value, lower, upper, False, tuple(evals))
 
 
 def beta_irrational(
     sys: TwistSystem, omega: float, tol: float = 1e-6, opts: MinimizeOptions | None = None
 ) -> float:
     return beta_irrational_result(sys, omega, tol, opts).value
-
-
-def beta_of(sys: TwistSystem, rho: RotationNumber, opts: MinimizeOptions | None = None) -> float:
-    """beta at a RotationNumber: exact minimization if rational, bracket otherwise."""
-    if rho.is_rational:
-        return beta_rational(sys, rho.p, rho.q, opts)
-    return beta_irrational(sys, rho.omega, rho.tol, opts)
 
 
 def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -> float:
@@ -636,9 +612,14 @@ def quadratic_kinetic():
 
 
 def trig_potential(cos_coeffs: Sequence[float], sin_coeffs: Sequence[float] = ()):
-    """Zero-mean trigonometric potential sum_k c_k cos(2 pi k q) + s_k sin(2 pi k q)."""
-    cos_c = np.asarray(cos_coeffs, dtype=float)
-    sin_c = np.asarray(list(sin_coeffs) + [0.0] * (len(cos_c) - len(tuple(sin_coeffs))), dtype=float)
+    """Zero-mean trigonometric potential sum_k c_k cos(2 pi k q) + s_k sin(2 pi k q).
+
+    The shorter coefficient list is padded with zeros; no coefficients give V = 0.
+    """
+    n = max(len(cos_coeffs), len(sin_coeffs))
+    cos_c, sin_c = np.zeros(n), np.zeros(n)
+    cos_c[: len(cos_coeffs)] = cos_coeffs
+    sin_c[: len(sin_coeffs)] = sin_coeffs
     k = 2.0 * math.pi * np.arange(1, cos_c.size + 1)
 
     def V(x):

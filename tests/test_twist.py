@@ -170,7 +170,7 @@ class TestMinimizePeriodic:
         with pytest.raises(ValueError, match="gap violation"):
             minimize_periodic(sys, 1, 2)
         with pytest.raises(ValueError, match="q_max"):
-            minimize_periodic(sys, 1, 5, MinimizeOptions(q_max=4))
+            minimize_periodic(sys, 1, 2001)
 
     def test_deterministic(self):
         sys = make_system(ellipse(2, 1), "symplectic")
@@ -245,7 +245,7 @@ class TestFixedStart:
         with pytest.raises(ValueError, match="gap violation"):
             minimize_with_fixed_start(sys, 1, 2, 0.0)
         with pytest.raises(ValueError, match="q_max"):
-            minimize_with_fixed_start(sys, 1, 5, 0.0, MinimizeOptions(q_max=4))
+            minimize_with_fixed_start(sys, 1, 2001, 0.0)
 
 
 class TestBetaIrrational:
@@ -349,11 +349,14 @@ class TestToyModel:
     def test_potential_always_lowers_beta(self):
         rng = np.random.default_rng(9)
         grid = farey_fractions(8)
+        potentials = []
         for _ in range(4):
             coeffs = rng.uniform(-0.02, 0.02, 2)
             if np.abs(coeffs).max() < 1e-3:
                 coeffs[0] = 0.01
-            V, V_d, V_dd = trig_potential(coeffs)
+            potentials.append(trig_potential(coeffs))
+        potentials.append(trig_potential([], [0.01, -0.005]))  # sine terms only
+        for V, V_d, V_dd in potentials:
             ell, ell_d, ell_dd = quadratic_kinetic()
             sys = make_toy_system(ell, ell_d, ell_dd, V, V_d, V_dd)
             gaps = []
@@ -365,17 +368,13 @@ class TestToyModel:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize(
-        "field, value",
-        [("starts", 0), ("starts", -2), ("tol", 0.0), ("tol", -1e-10), ("tol", math.nan),
-         ("q_max", 0), ("max_gd_iter", -1), ("max_newton_iter", -1)],
-    )
+    @pytest.mark.parametrize("field, value", [("starts", 0), ("starts", -2)])
     def test_options_reject_bad_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             MinimizeOptions(**{field: value})
 
     def test_options_accept_boundaries(self):
-        MinimizeOptions(starts=1, q_max=1, max_gd_iter=0, max_newton_iter=0)
+        MinimizeOptions(starts=1)
 
     def test_toy_potential_needs_both_derivatives(self):
         ell, ell_d, ell_dd = quadratic_kinetic()
