@@ -168,6 +168,8 @@ def _verify_reports(args, dom) -> list:
 
 
 def cmd_verify(args) -> int:
+    if args.rot is not None and args.theorem not in ("T4.2", "T4.3", "T4.4", "CE6.5"):
+        raise ValueError(f"--rot does not apply to theorem {args.theorem}")
     dom = parse_domain(args.domain)
     if args.theorem == "radon":
         report = radon_check(dom, tol=args.eq_tol)

@@ -19,8 +19,26 @@ period 2*pi.  Orbit polygons are recovered per model:
 The twist condition S12 < 0 holds on each model's admissible strip.
 
 Each model is one jet function (see `TwistSystem`): it evaluates the support
-jet once per edge end (once at the chord midpoint for Birkhoff) and shares
-the trig and tangent-length terms across S and its partials.
+jet once per edge end (once at the chord midpoint for Birkhoff).  The three
+two-end models are one edge formula of the gap d = x1 - x0, with a, b the
+support jets at x0, x1 and r = h + h'' the radius of curvature:
+
+  symplectic  S = -1/2 [(a b + a' b') sin d + (a b' - a' b) cos d],
+              S1 = 1/2 r0 (b cos d - b' sin d), S2 = -1/2 r1 (a cos d + a' sin d),
+              S12 = -1/2 r0 r1 sin d; S11 and S22 differentiate S1 and S2
+              once more, with r' = h' + h'''.
+  outer       lambda0 = -a' + b / sin d - a cot d and
+              lambda1 = b' + a / sin d - b cot d are the tangent segments;
+              S = 1/2 (a lambda0 + b lambda1),
+              S1 = -1/2 (lambda0^2 + a r0), S2 = 1/2 (lambda1^2 + b r1),
+              S11 = lambda0 (r0 - lambda0 cot d) - 1/2 (a' r0 + a (a' + a''')),
+              S12 = -lambda0 lambda1 / sin d,
+              S22 = lambda1 (r1 - lambda1 cot d) + 1/2 (b' r1 + b (b' + b''')).
+              These rest on d0 lambda0 = lambda0 cot d - r0,
+              d1 lambda0 = lambda1 / sin d, d0 lambda1 = -lambda0 / sin d and
+              d1 lambda1 = r1 - lambda1 cot d, so no term grows like 1/d^3
+              and cancels at small gaps.
+  fourth      S = b' - a' + (a + b) tan(d/2), differentiated in tan(d/2).
 """
 
 from __future__ import annotations
@@ -36,10 +54,6 @@ from .twist import Configuration, TwistSystem, _closed, _roll
 TWO_PI = 2.0 * math.pi
 
 MODEL_TAGS = ("birkhoff", "symplectic", "outer", "fourth")
-
-
-def _cross(ax, ay, bx, by):
-    return ax * by - ay * bx
 
 
 def make_system(dom: SupportDomain, tag: str) -> TwistSystem:
@@ -74,137 +88,88 @@ def _birkhoff_system(dom: SupportDomain) -> TwistSystem:
     return TwistSystem(TWO_PI, TWO_PI, jet, name="birkhoff")
 
 
-def _two_end_system(name, max_gap, end, edge) -> TwistSystem:
-    """System whose jet is edge(end(x0), end(x1), x0, x1, order).
+def _two_end_system(name, dom, edge) -> TwistSystem:
+    """System whose jet is edge(a, b, d, order), with a, b the support jets of
+    order + 1 at x0, x1 and d = x1 - x0 the gap.
 
-    end(x, order) is 2 pi-periodic data at the angles x, shape (..., *x.shape).
-    On a closed configuration it runs once, on x: the x_{k+1} end is its cyclic shift.
+    On a closed configuration the support jet runs once, on x: the x_{k+1} end
+    is its cyclic shift, since h is 2 pi-periodic.
     """
 
     def jet(x0, x1, order):
-        return edge(end(x0, order), end(x1, order), x0, x1, order)
+        d = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)
+        return edge(support_jet(dom, x0, order + 1), support_jet(dom, x1, order + 1), d, order)
 
     def cyclic_jet(x, p, order):
-        e0 = end(x, order)
-        return edge(e0, _roll(e0, -1), x, _closed(x, p, TWO_PI), order)
+        a = support_jet(dom, x, order + 1)
+        return edge(a, _roll(a, -1), _closed(x, p, TWO_PI) - x, order)
 
-    return TwistSystem(TWO_PI, max_gap, jet, name=name, cyclic_jet=cyclic_jet)
-
-
-def _gamma_jets(h, t):
-    """gamma and its first len(h) - 2 derivatives at t, from the support jet h.
-
-    Shape (len(h) - 1, 2, *t.shape): derivative, then x and y.
-    """
-    c, s = np.cos(t), np.sin(t)
-    out = [(h[0] * c - h[1] * s, h[0] * s + h[1] * c)]
-    if len(h) > 2:
-        r = h[0] + h[2]
-        out.append((-r * s, r * c))
-    if len(h) > 3:
-        rp = h[1] + h[3]
-        out.append((-rp * s - r * c, rp * c - r * s))
-    return np.array(out)
+    return TwistSystem(TWO_PI, math.pi, jet, name=name, cyclic_jet=cyclic_jet)
 
 
 def _symplectic_system(dom: SupportDomain) -> TwistSystem:
-    def end(x, order):
-        return _gamma_jets(support_jet(dom, x, order + 1), x)
-
-    def edge(g0, g1, x0, x1, order):
-        # each partial pairs one derivative of gamma at x0 with one at x1
-        pairs = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)][: (1, 3, 6)[order]]
-        return [-0.5 * _cross(*g0[i], *g1[j]) for i, j in pairs]
-
-    return _two_end_system("symplectic", math.pi, end, edge)
-
-
-def _tangent_wedge(g0, g1, x0, x1):
-    """Trig of the gap and tangent-segment lengths at a tangent-line pair.
-
-    g0, g1 are support jets at x0, x1.  Returns s, c, 1/s, cot of the gap and
-    the signed lengths lambda0 = |M - gamma(x0)|, lambda1 = |gamma(x1) - M|
-    where M is the intersection of the two tangent lines (positive for gaps
-    in (0, pi) on a strictly convex domain).
-    """
-    delta = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)
-    s, c = np.sin(delta), np.cos(delta)
-    inv_s = 1.0 / s
-    cot = c * inv_s
-    lam0 = -g0[1] + g1[0] * inv_s - g0[0] * cot
-    lam1 = g1[1] + g0[0] * inv_s - g1[0] * cot
-    return s, c, inv_s, cot, lam0, lam1
-
-
-def _lambda_partials(g0, g1, s, c, inv_s, cot):
-    """First partials of lambda0, lambda1 in (x0, x1)."""
-    p = inv_s * inv_s
-    cp = c * p
-    a = -g0[2] + g1[0] * cp - g0[1] * cot - g0[0] * p  # d lam0 / d x0
-    b = g1[1] * inv_s - g1[0] * cp + g0[0] * p  # d lam0 / d x1
-    cc = g0[1] * inv_s + g0[0] * cp - g1[0] * p  # d lam1 / d x0
-    d = g1[2] - g0[0] * cp - g1[1] * cot + g1[0] * p  # d lam1 / d x1
-    return a, b, cc, d, p, cp
-
-
-def _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp):
-    """Second partials of lambda0, lambda1; e = 1/s + 2 c^2 / s^3, f = 2 c / s^3."""
-    e = inv_s + 2.0 * c * cp * inv_s
-    f = 2.0 * cp * inv_s
-    a00 = -g0[3] + g1[0] * e - g0[2] * cot - 2.0 * g0[1] * p - g0[0] * f
-    a01 = g1[1] * cp - g1[0] * e + g0[1] * p + g0[0] * f
-    b11 = g1[2] * inv_s - 2.0 * g1[1] * cp + g1[0] * e - g0[0] * f
-    c00 = g0[2] * inv_s + 2.0 * g0[1] * cp + g0[0] * e - g1[0] * f
-    c01 = -g0[1] * cp - g0[0] * e - g1[1] * p + g1[0] * f
-    d11 = g1[3] + g0[0] * e - g1[2] * cot + 2.0 * g1[1] * p - g1[0] * f
-    return a00, a01, b11, c00, c01, d11
-
-
-def _outer_system(dom: SupportDomain) -> TwistSystem:
-    # per-edge area of the wedge (O, gamma(x0), M, gamma(x1)):
-    #   S = (h(x0) lam0 + h(x1) lam1) / 2, summing to the circumscribed area.
-    def edge(g0, g1, x0, x1, order):
-        s, c, inv_s, cot, lam0, lam1 = _tangent_wedge(g0, g1, x0, x1)
-        out = [0.5 * (g0[0] * lam0 + g1[0] * lam1)]
+    # gamma = h n + h' tau and gamma' = r tau in the frame n = (cos, sin), tau = n'
+    def edge(a, b, d, order):
+        s, c = np.sin(d), np.cos(d)
+        out = [-0.5 * ((a[0] * b[0] + a[1] * b[1]) * s + (a[0] * b[1] - a[1] * b[0]) * c)]
         if order >= 1:
-            a, b, cc, d, p, cp = _lambda_partials(g0, g1, s, c, inv_s, cot)
-            out += [
-                0.5 * (g0[1] * lam0 + g0[0] * a + g1[0] * cc),
-                0.5 * (g0[0] * b + g1[1] * lam1 + g1[0] * d),
-            ]
+            r0, r1 = a[0] + a[2], b[0] + b[2]
+            u, v = b[0] * c - b[1] * s, a[0] * c + a[1] * s
+            out += [0.5 * r0 * u, -0.5 * r1 * v]
         if order >= 2:
-            a00, a01, b11, c00, c01, d11 = _lambda_second_partials(g0, g1, s, c, inv_s, cot, p, cp)
             out += [
-                0.5 * (g0[2] * lam0 + 2.0 * g0[1] * a + g0[0] * a00 + g1[0] * c00),
-                0.5 * (g0[1] * b + g0[0] * a01 + g1[1] * cc + g1[0] * c01),
-                0.5 * (g0[0] * b11 + g1[2] * lam1 + 2.0 * g1[1] * d + g1[0] * d11),
+                0.5 * ((a[1] + a[3]) * u + r0 * (b[0] * s + b[1] * c)),
+                -0.5 * r0 * r1 * s,
+                -0.5 * ((b[1] + b[3]) * v + r1 * (a[1] * c - a[0] * s)),
             ]
         return out
 
-    return _two_end_system("outer", math.pi, lambda x, order: support_jet(dom, x, order + 1), edge)
+    return _two_end_system("symplectic", dom, edge)
+
+
+def _outer_system(dom: SupportDomain) -> TwistSystem:
+    # area of the wedge (O, gamma(x0), M, gamma(x1)) with M the tangent intersection
+    def edge(a, b, d, order):
+        inv_s = 1.0 / np.sin(d)
+        cot = np.cos(d) * inv_s
+        lam0 = -a[1] + b[0] * inv_s - a[0] * cot
+        lam1 = b[1] + a[0] * inv_s - b[0] * cot
+        out = [0.5 * (a[0] * lam0 + b[0] * lam1)]
+        if order >= 1:
+            r0, r1 = a[0] + a[2], b[0] + b[2]
+            out += [-0.5 * (lam0 * lam0 + a[0] * r0), 0.5 * (lam1 * lam1 + b[0] * r1)]
+        if order >= 2:
+            out += [
+                lam0 * (r0 - lam0 * cot) - 0.5 * (a[1] * r0 + a[0] * (a[1] + a[3])),
+                -lam0 * lam1 * inv_s,
+                lam1 * (r1 - lam1 * cot) + 0.5 * (b[1] * r1 + b[0] * (b[1] + b[3])),
+            ]
+        return out
+
+    return _two_end_system("outer", dom, edge)
 
 
 def _fourth_system(dom: SupportDomain) -> TwistSystem:
-    def edge(g0, g1, x0, x1, order):
-        tan = np.tan(0.5 * (np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)))
-        total = g0[0] + g1[0]
-        out = [g1[1] - g0[1] + total * tan]
+    def edge(a, b, d, order):
+        tan = np.tan(0.5 * d)
+        total = a[0] + b[0]
+        out = [b[1] - a[1] + total * tan]
         if order >= 1:
             sec2 = 1.0 + tan * tan
             out += [
-                -g0[2] + g0[1] * tan - 0.5 * total * sec2,
-                g1[2] + g1[1] * tan + 0.5 * total * sec2,
+                -a[2] + a[1] * tan - 0.5 * total * sec2,
+                b[2] + b[1] * tan + 0.5 * total * sec2,
             ]
         if order >= 2:
             mixed = 0.5 * total * sec2 * tan
             out += [
-                -g0[3] + g0[2] * tan - g0[1] * sec2 + mixed,
-                0.5 * sec2 * (g0[1] - g1[1]) - mixed,
-                g1[3] + g1[2] * tan + g1[1] * sec2 + mixed,
+                -a[3] + a[2] * tan - a[1] * sec2 + mixed,
+                0.5 * sec2 * (a[1] - b[1]) - mixed,
+                b[3] + b[2] * tan + b[1] * sec2 + mixed,
             ]
         return out
 
-    return _two_end_system("fourth", math.pi, lambda x, order: support_jet(dom, x, order + 1), edge)
+    return _two_end_system("fourth", dom, edge)
 
 
 def beta_disk(tag: str, rho: float) -> float:

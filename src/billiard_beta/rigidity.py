@@ -142,7 +142,13 @@ def _poly_eval_exact(coeffs, s: Fraction) -> Fraction:
     return acc
 
 
-def _poly_eval_float(coeffs, s: float) -> float:
+def _poly_scaled(coeffs, s: float) -> float:
+    """P(s) / max(1, s)^deg for s >= 0, which has the sign of P(s).
+
+    For s > 1 it is the reversed polynomial at 1/s, so it cannot overflow.
+    """
+    if s > 1.0:
+        coeffs, s = coeffs[::-1], 1.0 / s
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * s + float(c)
@@ -175,7 +181,7 @@ def gutkin_roots(n: int) -> GutkinRootSet:
 
     xs = np.linspace(1e-9, 0.5 * math.pi - 1e-9, 32 * n + 1)
     svals = np.tan(xs) ** 2
-    signs = np.sign([_poly_eval_float(r, s) for s in svals])
+    signs = np.sign([_poly_scaled(r, s) for s in svals])
     roots = []
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
         lo, hi = Fraction(float(svals[i])), Fraction(float(svals[i + 1]))

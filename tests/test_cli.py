@@ -199,6 +199,10 @@ class TestExitCodes:
             (["beta", "--domain", "disk:1", "--model", "outer", "--rot", "0.4999"], "q_max = 2000"),
             (["verify", "--theorem", "T4.3", "--domain", "disk:1", "--rot", "1/2"],
              "gap violation: rho = 1/2 is outside the admissible range 0 < rho < 0.5"),
+            (["verify", "--theorem", "C6.3", "--domain", "disk:1", "--rot", "1/3"],
+             "--rot does not apply to theorem C6.3"),
+            (["verify", "--theorem", "radon", "--domain", "disk:1", "--rot", "1/4", "--out", "{tmp}/r.json"],
+             "--rot does not apply to theorem radon"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -155,6 +156,53 @@ class TestCyclicJet:
                 assert len(got) == len(want) == (1, 3, 6)[order]
                 for g, w in zip(got, want):
                     assert_close(g, w, 1e-12)
+
+
+def oracle_edge(dom, t):
+    """h(t), the boundary point gamma(t) = h n + h' tau and the normal n, in mpmath."""
+    h, dh = mpmath.mpf(dom.a0), mpmath.mpf(0)
+    for n, (a, b) in enumerate(zip(dom.an, dom.bn), start=1):
+        c, s = mpmath.cos(n * t), mpmath.sin(n * t)
+        h += a * c + b * s
+        dh += n * (b * c - a * s)
+    c, s = mpmath.cos(t), mpmath.sin(t)
+    return h, (h * c - dh * s, h * s + dh * c), (c, s)
+
+
+def mp_cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def oracle_action(dom, tag, t0, t1):
+    """S from its geometric definition; M is the intersection of the tangent lines."""
+    h0, g0, (c0, s0) = oracle_edge(dom, t0)
+    h1, g1, (c1, s1) = oracle_edge(dom, t1)
+    if tag == "symplectic":
+        return -mp_cross(g0, g1) / 2
+    det = c0 * s1 - s0 * c1
+    m = ((h0 * s1 - h1 * s0) / det, (c0 * h1 - c1 * h0) / det)
+    if tag == "outer":  # shoelace area of O, gamma0, M, gamma1
+        return (mp_cross(g0, m) + mp_cross(m, g1)) / 2
+    return mpmath.hypot(m[0] - g0[0], m[1] - g0[1]) + mpmath.hypot(g1[0] - m[0], g1[1] - m[1])
+
+
+ORACLE_PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # S, S1, S2, S11, S12, S22
+
+
+@pytest.mark.parametrize("tag", ["symplectic", "outer", "fourth"])
+@pytest.mark.parametrize("gap", [1e-3, 1e-2, 0.1, 1.0, 3.0])
+def test_jet_matches_geometric_oracle(tag, gap):
+    """Every component against 40-digit partials of the geometric definition of S."""
+    rng = np.random.default_rng(8)
+    for dom in rigidity.sample_random_domains(2, seed=8):
+        x0 = float(rng.uniform(0.0, TWO_PI))
+        x1 = x0 + gap
+        got = make_system(dom, tag).jet(x0, x1, 2)
+        with mpmath.workdps(40):
+            t0, t1 = mpmath.mpf(x0), mpmath.mpf(x1)
+            for value, orders in zip(got, ORACLE_PARTIALS):
+                ref = float(mpmath.diff(lambda u, v: oracle_action(dom, tag, u, v), (t0, t1), orders))
+                assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref)), (orders, value, ref)
 
 
 # Brackets of beta(1/sqrt(10)) on ellipse(1.5, 0.8), tol 1e-6, recorded with

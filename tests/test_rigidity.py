@@ -83,7 +83,7 @@ class TestGutkinRoots:
         for delta in gutkin_roots(n).roots:
             assert abs(math.tan(n * math.pi * delta) - n * math.tan(math.pi * delta)) < 1e-10
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 12, 17, 32])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 12, 17, 32, 64])
     def test_roots_satisfy_pole_free_form(self, n):
         # k(delta) = n cos(n pi d) sin(pi d) - sin(n pi d) cos(pi d) stays
         # conditioned near delta -> 1/2, unlike the raw tangent difference
