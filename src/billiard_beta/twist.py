@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 
 # TwistSystem view -> (jet order, index of the component in the jet)
@@ -305,34 +304,53 @@ def _gd_phase(sys, rows, p, free=1.0):
 
 
 def _solve_cyclic(diag, e, rhs):
-    """Solve the cyclic tridiagonal system in O(q).
+    """Solve the symmetric cyclic tridiagonal system in O(q) by a bordered LDL^T.
 
     Off-diagonal couplings e[k] join unknowns k and k+1; e[-1] is the corner
-    coupling (q-1, 0), removed by a rank-one Sherman-Morrison update.  For
-    q = 2 both couplings join the same pair, which the update also covers.
+    coupling (q-1, 0).  For q = 2 both couplings join the same pair, and for
+    q = 1 the one coupling joins unknown 0 to itself on both sides.  The
+    leading (q-1)x(q-1) tridiagonal block T is factored by the pivots
+    d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the corner
+    coupling at row 0 and e[q-2] at row q-2.  The last pivot is the Schur
+    complement s = a_{q-1} - v^T T^{-1} v.  A zero pivot raises LinAlgError.
     """
-    q = diag.size
-    if q == 1:
-        return rhs / (diag + 2.0 * e)
-    corner = e[-1]
-    gamma = -diag[0] if diag[0] != 0 else 1.0
-    dmod = diag.copy()
-    dmod[0] -= gamma
-    dmod[-1] -= corner * corner / gamma
-    band = np.zeros((3, q))
-    band[0, 1:] = e[:-1]
-    band[1] = dmod
-    band[2, :-1] = e[:-1]
-    u = np.zeros(q)
-    u[0] = gamma
-    u[-1] = corner
-    y = solve_banded((1, 1), band, np.column_stack([rhs, u]))
-    sol, z = y[:, 0], y[:, 1]
-    denom = 1.0 + z[0] + z[-1] * corner / gamma
-    if abs(denom) < 1e-300:
-        raise np.linalg.LinAlgError("singular cyclic system")
-    factor = (sol[0] + sol[-1] * corner / gamma) / denom
-    return sol - factor * z
+    a, c, b = diag.tolist(), e.tolist(), rhs.tolist()
+    n = len(a) - 1
+    try:
+        if n == 0:
+            return np.array([b[0] / (a[0] + 2.0 * c[0])])
+        # forward pass over T: pivots d, g = L^{-1} b and w = L^{-1} v
+        dk, gk, wk = a[0], b[0], c[-1]
+        d, g, w = [dk], [gk], [wk]
+        for ck, ak, bk in zip(c, a[1:n], b[1:n]):
+            mk = ck / dk
+            dk = ak - ck * mk
+            gk = bk - mk * gk
+            wk = -mk * wk
+            d.append(dk)
+            g.append(gk)
+            w.append(wk)
+        w[-1] += c[n - 1]
+        # last pivot: s = a_{q-1} - w^T D^{-1} w, the Schur complement
+        s, gn = a[n], b[n]
+        for dk, gk, wk in zip(d, g, w):
+            r = wk / dk
+            s -= wk * r
+            gn -= gk * r
+        xn = gn / s
+        # back substitution through D L^T, whose superdiagonal is e
+        x = [0.0] * n + [xn]
+        x[n - 1] = (g[-1] - w[-1] * xn) / d[-1]
+        for k in range(n - 2, -1, -1):
+            x[k] = (g[k] - w[k] * xn - c[k] * x[k + 1]) / d[k]
+        return np.array(x)
+    except ZeroDivisionError:
+        raise np.linalg.LinAlgError("singular cyclic system") from None
+
+
+# perfbench/tracing.py times the cyclic solve by wrapping this name; drop the
+# alias once the tracer wraps _solve_cyclic itself.
+solve_banded = _solve_cyclic
 
 
 def _tol_effective(act, q):

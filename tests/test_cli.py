@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy(self):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, billiard_beta.cli; print('scipy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestParsing:

@@ -208,18 +208,33 @@ class TestDegenerateFamily:
 
 
 class TestSolveCyclic:
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 9])
-    def test_matches_dense_solve(self, q):
+    @staticmethod
+    def system(q):
         rng = np.random.default_rng(q)
-        diag = rng.uniform(3.0, 5.0, q)
-        e = rng.uniform(-1.0, 1.0, q)
-        rhs = rng.standard_normal(q)
+        return rng.uniform(3.0, 5.0, q), rng.uniform(-1.0, 1.0, q), rng.standard_normal(q)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 9, 117, 721])
+    def test_matches_dense_solve(self, q):
+        diag, e, rhs = self.system(q)
         dense = np.diag(diag)
         for k in range(q):
             dense[k, (k + 1) % q] += e[k]
             dense[(k + 1) % q, k] += e[k]
         want = np.linalg.solve(dense, rhs)
         assert np.abs(_solve_cyclic(diag, e, rhs) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("q, pinned", [(2, 0), (5, 0), (5, 2), (5, 4)])
+    def test_pinned_row_returns_rhs(self, q, pinned):
+        # Newton's pinned rows: diagonal 1 and both couplings zeroed
+        diag, e, rhs = self.system(q)
+        diag[pinned] = 1.0
+        e[pinned] = e[pinned - 1] = 0.0
+        assert _solve_cyclic(diag, e, rhs)[pinned] == rhs[pinned]
+
+    @pytest.mark.parametrize("diag, e", [([-1.0], [0.5]), ([1.0, 1.0], [0.5, 0.5])])
+    def test_singular_raises(self, diag, e):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_cyclic(np.array(diag), np.array(e), np.ones(len(diag)))
 
 
 class TestFixedStart:
