@@ -420,6 +420,25 @@ def _minimize_fixed_point(sys):
     return BetaResult(float(act), cfg, res, 1, ok)
 
 
+def _select(sys, p, q, candidates):
+    """BetaResult of the lowest-index converged candidate (x, A, residual, ok)
+    whose action lies within TOL * (q + |A|) of the lowest converged action A.
+
+    The members of a degenerate minimizer family (every phase minimal) have
+    actions equal up to rounding, so rounding does not decide which one is
+    reported.  With no converged candidate, the lowest residual wins.
+    """
+    converged = [c for c in candidates if c[3]]
+    if converged:
+        best = min(c[1] for c in converged)
+        margin = q * _tol_effective(best, q)
+        x, act, res, ok = next(c for c in converged if c[1] <= best + margin)
+    else:
+        x, act, res, ok = min(candidates, key=lambda c: c[2])
+    cfg = Configuration(_canonical(sys, x), p, sys.period)
+    return BetaResult(float(act) / q, cfg, float(res), len(candidates), bool(ok))
+
+
 def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> BetaResult:
     """Minimize the periodic action at rotation number p/q.
 
@@ -427,11 +446,7 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     j*period/(q*starts), each with one small random jitter (deterministic
     seed).  Two phases per start: projected gradient descent to a residual of
     SWITCH_TOL, then Newton on the cyclic tridiagonal criticality system.
-    The result is the lowest-index converged start whose action lies within
-    TOL * (q + |A|) of the lowest converged action A.  The members of a
-    degenerate minimizer family (every phase minimal) have actions equal up
-    to rounding, so rounding does not decide which one is reported.  With no
-    converged start, the lowest residual wins.
+    The result is chosen among the Newton results by _select.
     """
     opts = opts or MinimizeOptions()
     if q < 1 or p < 0:
@@ -450,17 +465,7 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     rows = rows + rng.standard_normal(rows.shape) * (JITTER * gap)
     rows = _gd_phase(sys, rows, p)
 
-    candidates = [_newton_phase(sys, row.copy(), p) for row in rows]
-    converged = [c for c in candidates if c[3]]
-    if converged:
-        best = min(c[1] for c in converged)
-        margin = q * _tol_effective(best, q)
-        x, act, res, ok = next(c for c in converged if c[1] <= best + margin)
-    else:
-        x, act, res, ok = min(candidates, key=lambda c: c[2])
-    x = _canonical(sys, x)
-    cfg = Configuration(x, p, sys.period)
-    return BetaResult(float(act) / q, cfg, float(res), opts.starts, bool(ok))
+    return _select(sys, p, q, [_newton_phase(sys, row.copy(), p) for row in rows])
 
 
 def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> BetaResult:
@@ -510,6 +515,52 @@ def convergents(omega: float, q_max: int) -> list[tuple[int, int]]:
     return out
 
 
+def _hull_rows(cfg: Configuration, p: int, q: int, starts: int) -> np.ndarray:
+    """Starts at p/q resampled from the hull function of the configuration cfg.
+
+    An ordered p'/q' configuration is x_k = u(k p'/q') with u(t + 1) = u(t) +
+    period.  The periodic part w(t) = u(t) - t * period, known at t = j/q'
+    (j = k p' mod q', lift k p' div q'), is interpolated trigonometrically
+    onto the m = q * starts phases l/m; an even q' splits its Nyquist term
+    between +-q'/2.  Row i, point k sits at phase i/m + k p/q: the start i of
+    minimize_periodic without jitter, plus w.
+    """
+    q0, period = cfg.q, cfg.period
+    lift, j = np.divmod(np.arange(q0) * cfg.winding, q0)
+    w = np.empty(q0)
+    w[j] = cfg.points - (lift + j / q0) * period
+    m = q * starts
+    spec = np.fft.rfft(w)
+    if q0 % 2 == 0 and m > q0:
+        spec[-1] *= 0.5
+    fine = np.fft.irfft(spec, m) * (m / q0)
+    i, k = np.arange(starts)[:, None], np.arange(q)[None, :]
+    return fine[(i + k * p * starts) % m] + i * (period / m) + k * (p * period / q)
+
+
+def _minimize_seeded(sys, p, q, opts, prev):
+    """minimize_periodic(sys, p, q, opts), seeded from the minimizer prev (a
+    Configuration or None) at a nearby rotation number.
+
+    The hull-function starts of prev go straight to Newton when every gap lies
+    inside the solvers' strip and every start already meets the descent's exit
+    test, a residual below SWITCH_TOL.  Otherwise, or when no seeded start
+    converges, the solve runs from scratch.
+    """
+    opts = opts or MinimizeOptions()
+    if prev is not None:
+        rows = _hull_rows(prev, p, q, opts.starts)
+        gap_min = GAP_MIN_FRAC * sys.period
+        gaps = _closed(rows, p, sys.period) - rows
+        if gaps.min() > gap_min and gaps.max() < sys.max_gap - gap_min:
+            res = np.abs(_evaluate(sys, rows, p, 1)[1]).max(axis=1)
+            if res.max() < SWITCH_TOL:
+                candidates = [_newton_phase(sys, row.copy(), p) for row in rows]
+                if any(c[3] for c in candidates):
+                    return _select(sys, p, q, candidates)
+    return minimize_periodic(sys, p, q, opts)
+
+
 @dataclass(frozen=True)
 class IrrationalBetaResult:
     value: float
@@ -530,8 +581,13 @@ def beta_irrational_result(
     The chord through the two evaluated convergents straddling omega is an
     upper bound; the chord through the two nearest convergents on one side,
     extrapolated to omega, is a lower bound.  Convergents whose equispaced
-    gap is inadmissible for the system are skipped.
+    gap is inadmissible for the system are skipped.  Each convergent after
+    the first is seeded from the previous one's minimizer (_minimize_seeded).
+    The bracket is converged when it is narrower than tol, every convergent
+    converged and lower <= upper up to TOL * (1 + |upper|).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     frac = Fraction(omega).limit_denominator(Q_MAX)
     if float(frac) == float(omega):
         val = beta_rational(sys, frac.numerator, frac.denominator, opts)
@@ -542,10 +598,13 @@ def beta_irrational_result(
     evals = []
     below, above = [], []
     best = (math.nan, math.nan)
+    prev, all_converged = None, True
     for p, q in convergents(omega, Q_MAX):
         if _inadmissible(sys, p, q):
             continue
-        b = beta_rational(sys, p, q, opts)
+        sol = _minimize_seeded(sys, p, q, opts, prev)
+        prev, b = sol.config, sol.beta
+        all_converged = all_converged and sol.converged
         evals.append((p, q, b))
         if p / q < omega:
             below.append((p / q, b))
@@ -562,7 +621,8 @@ def beta_irrational_result(
                 lower = max(lower, b1 + (b2 - b1) * (omega - r1) / (r2 - r1))
         best = (lower, upper)
         if upper - lower < tol:
-            return IrrationalBetaResult(0.5 * (lower + upper), lower, upper, True, tuple(evals))
+            ok = all_converged and lower <= upper + TOL * (1.0 + abs(upper))
+            return IrrationalBetaResult(0.5 * (lower + upper), lower, upper, ok, tuple(evals))
     lower, upper = best
     value = upper if math.isinf(lower) or math.isnan(lower) else 0.5 * (lower + upper)
     return IrrationalBetaResult(value, lower, upper, False, tuple(evals))

@@ -215,6 +215,10 @@ class TestExitCodes:
              "--rot does not apply to theorem C6.3"),
             (["verify", "--theorem", "radon", "--domain", "disk:1", "--rot", "1/4", "--out", "{tmp}/r.json"],
              "--rot does not apply to theorem radon"),
+            (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "0"], "tol must be positive"),
+            (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "-1"], "tol must be positive"),
+            (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "nan"], "tol must be positive"),
+            (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "inf"], "tol must be positive"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

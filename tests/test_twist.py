@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from billiard_beta import rigidity
+from billiard_beta import rigidity, twist
 from billiard_beta.geometry import disk, ellipse
 from billiard_beta.models import MODEL_TAGS, make_system
 from billiard_beta.twist import (
@@ -13,6 +14,7 @@ from billiard_beta.twist import (
     RotationNumber,
     TwistSystem,
     _evaluate,
+    _hull_rows,
     action,
     action_gradient,
     beta_irrational,
@@ -283,6 +285,75 @@ class TestBetaIrrational:
 
     def test_convergents_of_pi(self):
         assert convergents(math.pi, 200)[:3] == [(3, 1), (22, 7), (333, 106)]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_fails_fast(self, bad):
+        sys = make_system(disk(1.0), "birkhoff")
+        with pytest.raises(ValueError, match="tol"):
+            beta_irrational_result(sys, 1 / math.sqrt(10), bad)
+
+    def test_unconverged_convergent_unconverges_bracket(self, monkeypatch):
+        sys = make_system(ellipse(1.5, 0.8), "outer")
+        solve = twist._minimize_seeded
+
+        def fail_at_19(sys, p, q, opts, prev):
+            res = solve(sys, p, q, opts, prev)
+            return dataclasses.replace(res, converged=False) if q == 19 else res
+
+        assert beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6).converged
+        monkeypatch.setattr(twist, "_minimize_seeded", fail_at_19)
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert res.upper - res.lower < 1e-6
+        assert not res.converged
+
+    def test_inverted_bracket_is_unconverged(self):
+        # The computed convergent beta values of this domain are not convex,
+        # so the lower bound ends about 6.4e-9 above the upper one.
+        dom = rigidity.sample_random_domains(4, 3)[3]
+        res = beta_irrational_result(make_system(dom, "fourth"), 1 / math.sqrt(10), 1e-6)
+        assert 1e-9 < res.lower - res.upper < 1e-6
+        assert not res.converged
+
+
+class TestHullSeed:
+    @pytest.mark.parametrize("tag, p, q", [("outer", 6, 19), ("birkhoff", 3, 8)])
+    def test_resampling_at_own_rotation_number(self, tag, p, q):
+        cfg = minimize_periodic(make_system(ellipse(1.5, 0.8), tag), p, q).config
+        assert np.abs(_hull_rows(cfg, p, q, 1)[0] - cfg.points).max() < 1e-12
+        assert np.abs(_hull_rows(cfg, p, q, 8)[0] - cfg.points).max() < 1e-12
+
+    @pytest.mark.parametrize("family", ["ellipse", "disk"])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_seeded_ladder_matches_scratch(self, monkeypatch, family, tag):
+        descents = []
+        gd_phase = twist._gd_phase
+
+        def counted(sys, rows, p, free=1.0):
+            descents.append(rows.shape[-1])
+            return gd_phase(sys, rows, p, free)
+
+        monkeypatch.setattr(twist, "_gd_phase", counted)
+        sys = make_system(ellipse(1.5, 0.8) if family == "ellipse" else disk(1.0), tag)
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert res.converged
+        if family == "ellipse" and tag in ("outer", "fourth"):
+            assert res.evaluations[-1][1] == 721 and 721 not in descents
+        for p, q, b in res.evaluations:
+            assert abs(b - minimize_periodic(sys, p, q).beta) <= 1e-12
+
+    def test_rejected_seed_is_scratch_solve(self, monkeypatch):
+        scratch = []
+        solve = twist.minimize_periodic
+
+        def counted(sys, p, q, opts=None):
+            scratch.append(q)
+            return solve(sys, p, q, opts)
+
+        monkeypatch.setattr(twist, "minimize_periodic", counted)
+        sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert scratch == [q for _, q, _ in res.evaluations]
+        assert [b for _, _, b in res.evaluations] == [solve(sys, p, q).beta for p, q, _ in res.evaluations]
 
 
 class TestEquispacedAverage:
