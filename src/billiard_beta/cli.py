@@ -93,16 +93,15 @@ def cmd_beta(args) -> int:
     dom = parse_domain(args.domain)
     tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
     rotations = parse_rotations(args.rot, args.tol)
-    opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     jobs = [(tag, rho) for tag in tags for rho in rotations]
 
     def run(job):
         tag, rho = job
         sys = make_system(dom, tag)
         if rho.is_rational:
-            res = twist.minimize_periodic(sys, rho.p, rho.q, opts)
+            res = twist.minimize_periodic(sys, rho.p, rho.q, args.opts)
             return tag, rho, res.beta, res.grad_residual, res.converged, res.config
-        ir = twist.beta_irrational_result(sys, rho.omega, rho.tol, opts)
+        ir = twist.beta_irrational_result(sys, rho.omega, rho.tol, args.opts)
         return tag, rho, ir.value, ir.upper - ir.lower, ir.converged, None
 
     results = [run(job) for job in jobs]
@@ -142,8 +141,7 @@ def cmd_beta(args) -> int:
 
 
 def _verify_reports(args, dom) -> list:
-    opts = MinimizeOptions(seed=args.seed, starts=args.starts)
-    kw = dict(opts=opts, num_tol=args.num_tol, eq_tol=args.eq_tol)
+    kw = dict(opts=args.opts, num_tol=args.num_tol, eq_tol=args.eq_tol)
     theorem = args.theorem
     if theorem in ("T4.2", "T4.3", "T4.4"):
         rotations = parse_rotations(args.rot or "1/3", args.tol)
@@ -161,7 +159,7 @@ def _verify_reports(args, dom) -> list:
         rho = Fraction(1, 3) if theorem == "T6.4" else Fraction(1, 4)
         return [rigidity.outer_rigidity_theorem(dom, rho, **kw)]
     if theorem == "gutkin":
-        return [gutkin_equality_check(args.gutkin_n, args.gutkin_eps, opts=opts)]
+        return [gutkin_equality_check(args.gutkin_n, args.gutkin_eps, beta_tol=args.tol, opts=args.opts)]
     if theorem == "constwidth":
         return [constant_width_equality(dom, **kw)]
     raise ValueError(f"unknown theorem tag: {theorem!r}")
@@ -245,11 +243,10 @@ def render_sweep_svg(curves: dict, outline, orbit) -> str:
 def cmd_sweep(args) -> int:
     dom = parse_domain(args.domain)
     grid = _farey_grid(args.qmax, include_half=False)
-    opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
 
     results = [
-        (tag, p, q, minimize_periodic(make_system(dom, tag), p, q, opts))
+        (tag, p, q, minimize_periodic(make_system(dom, tag), p, q, args.opts))
         for tag in tags
         for p, q in grid
     ]
@@ -281,11 +278,10 @@ def cmd_toy(args) -> int:
     ell, ell_d, ell_dd = twist.quadratic_kinetic()
     V, V_d, V_dd = twist.trig_potential(cos_coeffs, sin_coeffs)
     sys = twist.make_toy_system(ell, ell_d, ell_dd, V, V_d, V_dd)
-    opts = MinimizeOptions(seed=args.seed, starts=args.starts)
     lines = ["rho,beta_V,beta_0,gap"]
     worst = 0.0
     for p, q in grid:
-        beta_v = minimize_periodic(sys, p, q, opts).beta
+        beta_v = minimize_periodic(sys, p, q, args.opts).beta
         beta_0 = 0.5 * (p / q) ** 2
         gap = beta_0 - beta_v
         worst = min(worst, gap)
@@ -358,6 +354,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        args.opts = MinimizeOptions(seed=args.seed, starts=args.starts)
         return args.func(args)
     except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

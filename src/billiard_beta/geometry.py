@@ -251,12 +251,15 @@ def disk(radius: float = 1.0) -> SupportDomain:
     return SupportDomain(radius)
 
 
-def ellipse(a: float, b: float, n_out: int = 64) -> SupportDomain:
+ELLIPSE_MODES = 64
+
+
+def ellipse(a: float, b: float) -> SupportDomain:
     """Ellipse with semi-axes a, b: h = sqrt(a^2 cos^2 + b^2 sin^2), projected."""
-    m = _grid_size(n_out)
+    m = _grid_size(ELLIPSE_MODES)
     phi = np.linspace(0.0, TWO_PI, m, endpoint=False)
     samples = np.sqrt((a * np.cos(phi)) ** 2 + (b * np.sin(phi)) ** 2)
-    a0, an, bn = project_to_modes(samples, n_out, rel_tol=1e-12)
+    a0, an, bn = project_to_modes(samples, ELLIPSE_MODES, rel_tol=1e-12)
     return SupportDomain(a0, an, bn)
 
 
@@ -277,17 +280,18 @@ def constant_width(eps: float, n: int = 3) -> SupportDomain:
 
 
 SQUEEZE_SIGMA = 0.35
+SQUEEZE_MODES = 48
 
 
-def squeezed_disk(eps: float, sigma: float = SQUEEZE_SIGMA, n_out: int = 48) -> SupportDomain:
+def squeezed_disk(eps: float, sigma: float = SQUEEZE_SIGMA) -> SupportDomain:
     """Unit disk flattened near phi = pi/2, rescaled back to area pi.
 
     The dent is the smooth periodic cap bump(phi) = exp(-(1 - cos(phi - pi/2)) / sigma^2).
     """
-    m = _grid_size(n_out)
+    m = _grid_size(SQUEEZE_MODES)
     phi = np.linspace(0.0, TWO_PI, m, endpoint=False)
     bump = np.exp(-(1.0 - np.cos(phi - 0.5 * math.pi)) / sigma**2)
-    a0, an, bn = project_to_modes(1.0 - eps * bump, n_out, rel_tol=1e-12)
+    a0, an, bn = project_to_modes(1.0 - eps * bump, SQUEEZE_MODES, rel_tol=1e-12)
     raw = SupportDomain(a0, an, bn)
     return scaled(raw, math.sqrt(math.pi / area(raw)))
 
@@ -317,7 +321,7 @@ class RadonReport:
     tol: float
 
 
-def radon_check(dom: SupportDomain, tol: float = 1e-8, n_grid: int = 256) -> RadonReport:
+def radon_check(dom: SupportDomain, tol: float = 1e-8) -> RadonReport:
     """Test symmetry of Birkhoff orthogonality on a centrally symmetric curve.
 
     For each grid angle phi, find phi* with gamma(phi*) parallel to the
@@ -337,7 +341,7 @@ def radon_check(dom: SupportDomain, tol: float = 1e-8, n_grid: int = 256) -> Rad
         h, hp = support_jet(dom, psi, 1)
         return h * np.cos(psi - phi) - hp * np.sin(psi - phi)
 
-    phi = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+    phi = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     lo, hi = phi + 1e-12, phi + math.pi - 1e-12
     flo = support_dot(lo, phi)
     for _ in range(80):

@@ -249,8 +249,8 @@ class ChordState:
     alpha: float
 
 
-def _bisect(f, lo, hi, flo, iters=80):
-    for _ in range(iters):
+def _bisect(f, lo, hi, flo):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if (fm > 0) == (flo > 0):

@@ -18,7 +18,6 @@ from . import geometry
 from .geometry import SupportDomain, area, eval_support, perimeter, support_jet
 from .models import beta_disk, make_system, outer_polygon, polygon_area
 from .twist import (
-    Configuration,
     MinimizeOptions,
     RotationNumber,
     beta_irrational_result,
@@ -73,10 +72,12 @@ def _report(theorem, rho, lhs, rhs, gap, converged, num_tol, eq_tol, **meta):
     )
 
 
-def _disk_scale(dom: SupportDomain, theorem: str) -> float:
-    if theorem in ("T4.2", "T4.4"):
-        return perimeter(dom) / (2.0 * math.pi)
-    return area(dom) / math.pi
+def _disk_beta(dom: SupportDomain, tag: str, rho: float) -> float:
+    """beta of the disk with the perimeter (birkhoff, fourth) or area
+    (symplectic, outer) of dom, the value each inequality compares with."""
+    if tag in ("birkhoff", "fourth"):
+        return perimeter(dom) / (2.0 * math.pi) * beta_disk(tag, rho)
+    return area(dom) / math.pi * beta_disk(tag, rho)
 
 
 def verify_main_inequality(
@@ -98,7 +99,7 @@ def verify_main_inequality(
     else:
         ir = beta_irrational_result(sys, rho.omega, rho.tol, opts)
         lhs, converged, residual = ir.value, ir.converged, ir.upper - ir.lower
-    rhs = _disk_scale(dom, theorem) * beta_disk(tag, rho.value)
+    rhs = _disk_beta(dom, tag, rho.value)
     return _report(
         theorem, rho.value, lhs, rhs, rhs - lhs, converged, num_tol, eq_tol, residual=residual
     )
@@ -204,24 +205,24 @@ def gutkin_roots(n: int) -> GutkinRootSet:
     return GutkinRootSet(n, tuple(sorted(roots)))
 
 
-def in_R(rho: float, n_max: int = 32, tol: float = 1e-9) -> bool:
+def in_R(rho: float, n_max: int = 32) -> bool:
     """Membership in the rigidity set: rho is no Gutkin root up to mode n_max."""
     if not 0.0 < rho < 0.5:
         raise ValueError("rho must lie in (0, 1/2)")
     for n in range(2, n_max + 1):
         for root in gutkin_roots(n).roots:
-            if abs(rho - root) <= tol:
+            if abs(rho - root) <= 1e-9:
                 return False
     return True
 
 
-def equispaced_criticality_residual(dom: SupportDomain, rho: float, n_grid: int = 720) -> float:
+def equispaced_criticality_residual(dom: SupportDomain, rho: float) -> float:
     """Sup of the Birkhoff action gradient over equispaced configurations at rho.
 
     Vanishes identically exactly when the domain carries an invariant curve of
     constant reflection angle pi*rho.
     """
-    phi = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     gap = 2.0 * math.pi * rho
     s, c = math.sin(math.pi * rho), math.cos(math.pi * rho)
     (h0, h1), (hp0, hp1) = support_jet(dom, np.stack([phi, phi + gap]), 1)
@@ -245,7 +246,7 @@ def gutkin_equality_check(
     residual = equispaced_criticality_residual(dom, delta)
     sys = make_system(dom, "birkhoff")
     ir = beta_irrational_result(sys, delta, beta_tol, opts)
-    rhs = _disk_scale(dom, "T4.2") * beta_disk("birkhoff", delta)
+    rhs = _disk_beta(dom, "birkhoff", delta)
     return _report(
         "T4.2",
         delta,
@@ -260,8 +261,8 @@ def gutkin_equality_check(
     )
 
 
-def width_defect(dom: SupportDomain, n_grid: int = 2048) -> float:
-    phi = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+def width_defect(dom: SupportDomain) -> float:
+    phi = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     h = eval_support(dom, phi, 0)
     hpi = eval_support(dom, phi + math.pi, 0)
     return float(np.abs(h + hpi - 2.0 * dom.a0).max())
@@ -276,7 +277,7 @@ def constant_width_equality(
     """Birkhoff inequality at rho = 1/2; equality characterizes constant width."""
     defect = width_defect(dom)
     res = minimize_periodic(make_system(dom, "birkhoff"), 1, 2, opts)
-    rhs = -perimeter(dom) / math.pi
+    rhs = _disk_beta(dom, "birkhoff", 0.5)
     return _report(
         "T4.2",
         0.5,
@@ -320,12 +321,9 @@ def outer_third_relation(
     )
 
 
-def triangle_midpoint_property(
-    dom: SupportDomain, cfg: Configuration | None = None, opts: MinimizeOptions | None = None
-) -> float:
-    """|Area(outer 3-gon) - 4 Area(tangency triangle)| on a converged orbit."""
-    if cfg is None:
-        cfg = minimize_periodic(make_system(dom, "outer"), 1, 3, opts).config
+def triangle_midpoint_property(dom: SupportDomain) -> float:
+    """|Area(outer 3-gon) - 4 Area(tangency triangle)| on the minimal 1/3 orbit."""
+    cfg = minimize_periodic(make_system(dom, "outer"), 1, 3).config
     poly = outer_polygon(dom, cfg)
     tangency = geometry.boundary_xy(dom, cfg.points)
     return abs(poly.area - 4.0 * polygon_area(tangency))
@@ -374,7 +372,7 @@ def outer_counterexample(
     if (frac.numerator, frac.denominator) not in ((1, 3), (1, 4)):
         raise ValueError("counterexample check is stated for rho in {1/3, 1/4}")
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator, opts)
-    rhs = (area(dom) / math.pi) * beta_disk("outer", float(frac))
+    rhs = _disk_beta(dom, "outer", float(frac))
     return _report(
         "CE6.5",
         float(frac),
@@ -390,7 +388,7 @@ def outer_counterexample(
     )
 
 
-def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int, n_phase: int = 12) -> float:
+def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> float:
     """Spread of pinned minimal actions across phases.
 
     A vanishing spread certifies numerically that every phase carries a
@@ -399,7 +397,7 @@ def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int, n_phase
     sys = make_system(dom, tag)
     actions = [
         minimize_with_fixed_start(sys, p, q, x0).beta
-        for x0 in np.linspace(0.0, sys.period / q, n_phase, endpoint=False)
+        for x0 in np.linspace(0.0, sys.period / q, 12, endpoint=False)
     ]
     return float(max(actions) - min(actions))
 
@@ -410,7 +408,6 @@ def outer_rigidity_theorem(
     opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
-    spread_tol: float = 1e-8,
 ) -> InequalityReport:
     """Reversed outer inequality under the invariant-curve hypothesis.
 
@@ -424,7 +421,7 @@ def outer_rigidity_theorem(
         raise ValueError("outer rigidity is stated for rho in {1/3, 1/4}")
     spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator, opts)
-    rhs = (area(dom) / math.pi) * beta_disk("outer", float(frac))
+    rhs = _disk_beta(dom, "outer", float(frac))
     return _report(
         theorem,
         float(frac),
@@ -435,7 +432,7 @@ def outer_rigidity_theorem(
         num_tol,
         eq_tol,
         orbit_spread=spread,
-        hypothesis_certified=bool(spread < spread_tol),
+        hypothesis_certified=bool(spread < 1e-8),
     )
 
 
@@ -444,12 +441,12 @@ def outer_rigidity_theorem(
 # ---------------------------------------------------------------------------
 
 
-def random_domain(rng: np.random.Generator, n_min: int = 2, n_max: int = 8) -> SupportDomain:
+def random_domain(rng: np.random.Generator) -> SupportDomain:
     """a0 = 1 with modes n = 2..8 uniform in +-0.5/n^3, rejection-sampled convex."""
     while True:
-        an = np.zeros(n_max)
-        bn = np.zeros(n_max)
-        for n in range(n_min, n_max + 1):
+        an = np.zeros(8)
+        bn = np.zeros(8)
+        for n in range(2, 9):
             an[n - 1] = rng.uniform(-0.5, 0.5) / n**3
             bn[n - 1] = rng.uniform(-0.5, 0.5) / n**3
         try:
@@ -470,26 +467,19 @@ def nontrivial_fourier_energy(dom: SupportDomain) -> float:
     return float((dom.an[1:] ** 2 + dom.bn[1:] ** 2).sum())
 
 
-def run_inequality_suite(
-    domains,
-    rotations,
-    theorems=("T4.2", "T4.3", "T4.4"),
-    opts: MinimizeOptions | None = None,
-) -> list[InequalityReport]:
+def run_inequality_suite(domains, rotations) -> list[InequalityReport]:
     """Cartesian main-inequality sweep; rho = 1/2 is only valid for T4.2."""
     reports = []
     for dom in domains:
         for p, q in rotations:
-            for theorem in theorems:
+            for theorem in ("T4.2", "T4.3", "T4.4"):
                 if (p, q) == (1, 2) and theorem != "T4.2":
                     continue
-                reports.append(
-                    verify_main_inequality(dom, theorem, RotationNumber.rational(p, q), opts)
-                )
+                reports.append(verify_main_inequality(dom, theorem, RotationNumber.rational(p, q)))
     return reports
 
 
-def sine_equation_root_free(n_max: int = 64, n_grid: int = 4096) -> bool:
+def sine_equation_root_free(n_max: int = 64) -> bool:
     """Check sin(n theta) = n sin(theta) has no solution with theta in (0, pi).
 
     Solutions need |sin(theta)| <= 1/n, so only windows at the two ends are
@@ -502,7 +492,7 @@ def sine_equation_root_free(n_max: int = 64, n_grid: int = 4096) -> bool:
         width = math.asin(1.0 / n)
         cut = 1e-2 / n
         for lo, hi in ((cut, width), (math.pi - width, math.pi - cut)):
-            theta = np.linspace(lo, hi, n_grid)
+            theta = np.linspace(lo, hi, 4096)
             vals = np.sin(n * theta) - n * np.sin(theta)
             if vals.max() >= -1e-12:
                 return False

@@ -242,10 +242,12 @@ def _evaluate(sys: TwistSystem, x: np.ndarray, p: int, order: int) -> list:
     return out
 
 
-def _feasible_fraction(x, steps, p, period, lo, hi):
-    """Largest lambda per row keeping all gaps of x + lambda*steps in (lo, hi)."""
-    g = _closed(x, p, period) - x
-    dg = _closed(steps, 0, period) - steps
+def _feasible_fraction(sys, x, steps, p):
+    """Largest lambda per row keeping all gaps of x + lambda*steps in the solvers' strip."""
+    lo = GAP_MIN_FRAC * sys.period
+    hi = sys.max_gap - lo
+    g = _closed(x, p, sys.period) - x
+    dg = _closed(steps, 0, sys.period) - steps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         up = np.where(dg > 0, (hi - g) / np.where(dg > 0, dg, 1.0), np.inf)
         dn = np.where(dg < 0, (lo - g) / np.where(dg < 0, dg, -1.0), np.inf)
@@ -264,8 +266,6 @@ def _gd_phase(sys, rows, p, free=1.0):
     below rounding; the descent ends when every active row has stalled.
     """
     q = rows.shape[1]
-    gap_min = GAP_MIN_FRAC * sys.period
-    hi = sys.max_gap - gap_min
     act, grad = _evaluate(sys, rows, p, 1)
     grad = grad * free
     res = np.abs(grad).max(axis=1)
@@ -275,7 +275,7 @@ def _gd_phase(sys, rows, p, free=1.0):
         if not active.any():
             break
         steps = -alpha[:, None] * grad
-        lam = _feasible_fraction(rows, steps, p, sys.period, gap_min, hi)
+        lam = _feasible_fraction(sys, rows, steps, p)
         trial = rows + (lam * active)[:, None] * steps
         act_trial, grad_trial = _evaluate(sys, trial, p, 1)
         improved = active & (act_trial < act)
@@ -366,8 +366,6 @@ def _newton_phase(sys, x, p, free=1.0):
     identity, so they never move.  Returns (x, action, residual, converged).
     """
     q = x.size
-    gap_min = GAP_MIN_FRAC * sys.period
-    hi = sys.max_gap - gap_min
     pinned = free == 0
     coupled = free * np.roll(free, -1)
     act, grad, diag, e = _evaluate(sys, x, p, 2)
@@ -389,7 +387,7 @@ def _newton_phase(sys, x, p, free=1.0):
             if not np.all(np.isfinite(delta)):
                 mu = max(10.0 * mu, 1e-12)
                 continue
-            lam = _feasible_fraction(x, delta, p, sys.period, gap_min, hi)
+            lam = _feasible_fraction(sys, x, delta, p)
             trial = x + lam * delta
             act_trial, grad_trial, diag_trial, e_trial = _evaluate(sys, trial, p, 2)
             grad_trial = grad_trial * free
@@ -406,27 +404,14 @@ def _newton_phase(sys, x, p, free=1.0):
     return x, act, res, res < _tol_effective(act, q)
 
 
-def _canonical(sys, x):
-    shift = math.floor(x[0] / sys.period)
-    return x - shift * sys.period
-
-
-def _minimize_fixed_point(sys):
-    """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
-    grid = np.linspace(0.0, sys.period, 512, endpoint=False)
-    x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
-    x, act, res, ok = _newton_phase(sys, np.array([x0]), 0)
-    cfg = Configuration(x % sys.period, 0, sys.period)
-    return BetaResult(float(act), cfg, res, 1, ok)
-
-
 def _select(sys, p, q, candidates):
     """BetaResult of the lowest-index converged candidate (x, A, residual, ok)
     whose action lies within TOL * (q + |A|) of the lowest converged action A.
 
     The members of a degenerate minimizer family (every phase minimal) have
     actions equal up to rounding, so rounding does not decide which one is
-    reported.  With no converged candidate, the lowest residual wins.
+    reported.  With no converged candidate, the lowest residual wins.  The
+    configuration is reported with x_0 in [0, period).
     """
     converged = [c for c in candidates if c[3]]
     if converged:
@@ -435,8 +420,21 @@ def _select(sys, p, q, candidates):
         x, act, res, ok = next(c for c in converged if c[1] <= best + margin)
     else:
         x, act, res, ok = min(candidates, key=lambda c: c[2])
-    cfg = Configuration(_canonical(sys, x), p, sys.period)
+    cfg = Configuration(x - math.floor(x[0] / sys.period) * sys.period, p, sys.period)
     return BetaResult(float(act) / q, cfg, float(res), len(candidates), bool(ok))
+
+
+def _solve(sys, p, q, rows, free=1.0):
+    """Descend from the start rows, run Newton from each and _select; free is 0 where pinned."""
+    rows = _gd_phase(sys, rows, p, free)
+    return _select(sys, p, q, [_newton_phase(sys, row.copy(), p, free) for row in rows])
+
+
+def _minimize_fixed_point(sys):
+    """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
+    grid = np.linspace(0.0, sys.period, 512, endpoint=False)
+    x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
+    return _select(sys, 0, 1, [_newton_phase(sys, np.array([x0]), 0)])
 
 
 def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> BetaResult:
@@ -463,16 +461,15 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
     shifts = np.arange(opts.starts) * (sys.period / (q * opts.starts))
     rows = shifts[:, None] + base[None, :]
     rows = rows + rng.standard_normal(rows.shape) * (JITTER * gap)
-    rows = _gd_phase(sys, rows, p)
-
-    return _select(sys, p, q, [_newton_phase(sys, row.copy(), p) for row in rows])
+    return _solve(sys, p, q, rows)
 
 
 def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> BetaResult:
     """Minimize the periodic action over configurations pinned at x_0 = x0.
 
     Used to certify invariant curves of periodic orbits: if the pinned minimal
-    action is independent of x0, every phase carries a minimal orbit.
+    action is independent of x0, every phase carries a minimal orbit.  Like
+    every solve, the result is reported with x_0 in [0, period).
     """
     if q < 2:
         raise ValueError("fixed-start minimization needs q >= 2")
@@ -481,10 +478,7 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
     free = np.ones(q)
     free[0] = 0.0
     start = x0 + np.arange(q) * (p * sys.period / q)
-    x = _gd_phase(sys, start[None, :], p, free)[0]
-    x, act, res, ok = _newton_phase(sys, x, p, free)
-    cfg = Configuration(x, p, sys.period)
-    return BetaResult(float(act) / q, cfg, res, 1, ok)
+    return _solve(sys, p, q, start[None, :], free)
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> float:
@@ -555,9 +549,9 @@ def _minimize_seeded(sys, p, q, opts, prev):
         if gaps.min() > gap_min and gaps.max() < sys.max_gap - gap_min:
             res = np.abs(_evaluate(sys, rows, p, 1)[1]).max(axis=1)
             if res.max() < SWITCH_TOL:
-                candidates = [_newton_phase(sys, row.copy(), p) for row in rows]
-                if any(c[3] for c in candidates):
-                    return _select(sys, p, q, candidates)
+                sol = _select(sys, p, q, [_newton_phase(sys, row.copy(), p) for row in rows])
+                if sol.converged:
+                    return sol
     return minimize_periodic(sys, p, q, opts)
 
 
@@ -584,14 +578,16 @@ def beta_irrational_result(
     gap is inadmissible for the system are skipped.  Each convergent after
     the first is seeded from the previous one's minimizer (_minimize_seeded).
     The bracket is converged when it is narrower than tol, every convergent
-    converged and lower <= upper up to TOL * (1 + |upper|).
+    converged and lower <= upper up to TOL * (1 + |upper|).  An omega that is
+    an exact fraction is solved as that rational and keeps its converged flag.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     frac = Fraction(omega).limit_denominator(Q_MAX)
     if float(frac) == float(omega):
-        val = beta_rational(sys, frac.numerator, frac.denominator, opts)
-        return IrrationalBetaResult(val, val, val, True, ((frac.numerator, frac.denominator, val),))
+        sol = minimize_periodic(sys, frac.numerator, frac.denominator, opts)
+        val = sol.beta
+        return IrrationalBetaResult(val, val, val, sol.converged, ((frac.numerator, frac.denominator, val),))
 
     # Convergents approach omega from alternate sides, each nearer than the
     # earlier ones on its side: (rho, beta) per side, nearest last.

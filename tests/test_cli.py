@@ -101,6 +101,17 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out.strip())["equality"]
 
+    def test_gutkin_tol_reaches_bracket(self, capsys):
+        argv = ["verify", "--theorem", "gutkin", "--domain", "disk:1"]
+        brackets = []
+        for extra in ([], ["--tol", "1e-3"]):
+            code, out = run(capsys, *argv, *extra)
+            assert code == 0
+            brackets.append(json.loads(out.strip())["bracket"])
+        lo, hi = brackets[1]
+        assert hi - lo < 1e-3
+        assert brackets[1] != brackets[0]
+
     def test_constwidth(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "constwidth", "--domain", "constwidth:0.05,3")
         assert code == 0
@@ -219,6 +230,9 @@ class TestExitCodes:
             (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "-1"], "tol must be positive"),
             (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "nan"], "tol must be positive"),
             (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "inf"], "tol must be positive"),
+            (["verify", "--theorem", "radon", "--domain", "disk:1", "--starts", "0"], "starts must be >= 1"),
+            (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "0"], "tol must be positive"),
+            (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "-1"], "tol must be positive"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

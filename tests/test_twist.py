@@ -257,6 +257,19 @@ class TestFixedStart:
                 assert own.converged and own.config.points[0] == x0
                 assert abs(own.beta - free.beta) < 1e-12
 
+    def test_pinned_result_is_canonical(self):
+        # Pinning one period further along is the same solve, reported with
+        # x_0 in [0, period) like every other solve.
+        sys = make_system(rigidity.sample_random_domains(1, seed=5)[0], "outer")
+        x0 = 0.3
+        a = minimize_with_fixed_start(sys, 1, 3, x0)
+        b = minimize_with_fixed_start(sys, 1, 3, x0 + 2 * math.pi)
+        assert a.converged and b.converged
+        assert abs(a.beta - b.beta) < 1e-12
+        for res in (a, b):
+            assert 0.0 <= res.config.points[0] < 2 * math.pi
+        assert np.abs(a.config.points - b.config.points).max() < 1e-12
+
     def test_rejects_inadmissible(self):
         sys = make_system(disk(1.0), "outer")
         with pytest.raises(ValueError, match="gap violation"):
@@ -282,6 +295,16 @@ class TestBetaIrrational:
     def test_rational_dispatch(self):
         sys = make_system(disk(1.0), "birkhoff")
         assert beta_irrational(sys, 0.25, 1e-6) == pytest.approx(-2 * math.sin(math.pi / 4), abs=1e-12)
+
+    def test_rational_omega_carries_solve_convergence(self):
+        # This solve stops at a residual of about 7.9e-5; an exact fraction
+        # must not report it as converged.
+        sys = make_system(rigidity.sample_random_domains(4, 3)[1], "fourth")
+        sol = minimize_periodic(sys, 8, 21)
+        assert not sol.converged
+        res = beta_irrational_result(sys, 8 / 21)
+        assert not res.converged
+        assert res.value == res.lower == res.upper == sol.beta
 
     def test_convergents_of_pi(self):
         assert convergents(math.pi, 200)[:3] == [(3, 1), (22, 7), (333, 106)]
