@@ -159,7 +159,7 @@ def _verify_reports(args, dom) -> list:
         rho = Fraction(1, 3) if theorem == "T6.4" else Fraction(1, 4)
         return [rigidity.outer_rigidity_theorem(dom, rho, **kw)]
     if theorem == "gutkin":
-        return [gutkin_equality_check(args.gutkin_n, args.gutkin_eps, beta_tol=args.tol, opts=args.opts)]
+        return [gutkin_equality_check(args.gutkin_n, args.gutkin_eps, beta_tol=args.tol, **kw)]
     if theorem == "constwidth":
         return [constant_width_equality(dom, **kw)]
     raise ValueError(f"unknown theorem tag: {theorem!r}")
@@ -302,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "gutkin:4,0.05, constwidth:0.05,3, squeezed:0.1) or a .json path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--starts", type=int, default=8)
-        p.add_argument("--tol", type=float, default=1e-6, help="irrational beta tolerance")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p_beta = sub.add_parser("beta", help="compute beta for (domain, model, rotation) triples")
     common(p_beta)
+    p_beta.add_argument("--tol", type=float, default=1e-6, help="irrational beta tolerance")
     p_beta.add_argument("--model", default="all", help="comma list or 'all'")
     p_beta.add_argument("--rot", required=True, help="comma list of p/q or decimals")
     p_beta.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -316,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a rigidity verifier")
     common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=1e-6, help="irrational beta tolerance")
     p_verify.add_argument(
         "--theorem",
         required=True,
@@ -355,6 +356,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         args.opts = MinimizeOptions(seed=args.seed, starts=args.starts)
+        if "tol" in args and not 0.0 < args.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {args.tol!r}")
         return args.func(args)
     except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

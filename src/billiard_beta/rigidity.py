@@ -236,6 +236,7 @@ def gutkin_equality_check(
     beta_tol: float = 1e-6,
     eq_tol: float = 3e-6,
     opts: MinimizeOptions | None = None,
+    num_tol: float = NUM_TOL,
 ) -> InequalityReport:
     """Equality in the Birkhoff inequality at the first Gutkin root of mode n."""
     roots = gutkin_roots(n).roots
@@ -254,7 +255,7 @@ def gutkin_equality_check(
         rhs,
         rhs - ir.value,
         ir.converged,
-        NUM_TOL,
+        num_tol,
         eq_tol,
         criticality_residual=residual,
         bracket=(ir.lower, ir.upper),

@@ -165,10 +165,9 @@ class BetaResult:
 
 
 # Solver constants.  TOL is the Newton residual target relative to
-# 1 + |A|/q; the descent hands over to Newton at a residual of SWITCH_TOL.
+# 1 + |A|/q; hull-function seeds are used only below a residual of SWITCH_TOL.
 TOL = 1e-10
 SWITCH_TOL = 1e-4
-MAX_GD_ITER = 4000
 MAX_NEWTON_ITER = 80
 JITTER = 1e-3  # start jitter, as a fraction of the equispaced gap
 GAP_MIN_FRAC = 1e-9  # smallest gap kept by the solvers, as a fraction of the period
@@ -242,65 +241,17 @@ def _evaluate(sys: TwistSystem, x: np.ndarray, p: int, order: int) -> list:
     return out
 
 
-def _feasible_fraction(sys, x, steps, p):
-    """Largest lambda per row keeping all gaps of x + lambda*steps in the solvers' strip."""
+def _feasible_fraction(sys, x, step, p):
+    """Largest t <= 1 keeping every gap of x + t * step in the solvers' strip,
+    times 0.999 when below 1."""
     lo = GAP_MIN_FRAC * sys.period
     hi = sys.max_gap - lo
     g = _closed(x, p, sys.period) - x
-    dg = _closed(steps, 0, sys.period) - steps
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        up = np.where(dg > 0, (hi - g) / np.where(dg > 0, dg, 1.0), np.inf)
-        dn = np.where(dg < 0, (lo - g) / np.where(dg < 0, dg, -1.0), np.inf)
-    lam = np.minimum(up.min(axis=-1), dn.min(axis=-1))
-    lam = np.clip(lam, 0.0, 1.0)
-    return np.where(lam < 1.0, 0.999 * lam, lam)
-
-
-def _gd_phase(sys, rows, p, free=1.0):
-    """Projected gradient descent with adaptive step, vectorized across starts.
-
-    Accepted steps update the step length by the Barzilai-Borwein rule
-    <s,y>/<y,y>; rejected steps halve it.  Gap constraints are enforced by
-    clipping the step to the feasible fraction.  free is 0 at pinned
-    coordinates, whose gradient is masked.  A row stalls when its step falls
-    below rounding; the descent ends when every active row has stalled.
-    """
-    q = rows.shape[1]
-    act, grad = _evaluate(sys, rows, p, 1)
-    grad = grad * free
-    res = np.abs(grad).max(axis=1)
-    alpha = 0.01 * sys.period / q / (res + 1e-300)
-    for _ in range(MAX_GD_ITER):
-        active = res >= SWITCH_TOL
-        if not active.any():
-            break
-        steps = -alpha[:, None] * grad
-        lam = _feasible_fraction(sys, rows, steps, p)
-        trial = rows + (lam * active)[:, None] * steps
-        act_trial, grad_trial = _evaluate(sys, trial, p, 1)
-        improved = active & (act_trial < act)
-        if improved.any():
-            grad_trial = grad_trial * free
-            s = trial - rows
-            y = grad_trial - grad
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                bb = np.sum(s * y, axis=1) / np.sum(y * y, axis=1)
-            base_alpha = sys.period / q
-            good_bb = np.isfinite(bb) & (bb > 0)
-            next_alpha = np.where(
-                good_bb, np.clip(bb, 1e-9 * base_alpha, 1e6 * base_alpha), alpha * 1.3
-            )
-            rows = np.where(improved[:, None], trial, rows)
-            act = np.where(improved, act_trial, act)
-            grad = np.where(improved[:, None], grad_trial, grad)
-            res = np.where(improved, np.abs(grad_trial).max(axis=1), res)
-            alpha = np.where(improved, next_alpha, alpha * 0.5)
-        else:
-            alpha = np.where(active, alpha * 0.5, alpha)
-        stalled = active & ~improved & (alpha * res < 1e-15 * sys.period)
-        if not (active & ~stalled).any():
-            break
-    return rows
+    dg = _closed(step, 0, sys.period) - step
+    up, dn = dg > 0, dg < 0
+    t = min(((hi - g[up]) / dg[up]).min(initial=1.0), ((lo - g[dn]) / dg[dn]).min(initial=1.0))
+    t = max(t, 0.0)
+    return 0.999 * t if t < 1.0 else t
 
 
 def _solve_cyclic(diag, e, rhs):
@@ -313,12 +264,16 @@ def _solve_cyclic(diag, e, rhs):
     d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the corner
     coupling at row 0 and e[q-2] at row q-2.  The last pivot is the Schur
     complement s = a_{q-1} - v^T T^{-1} v.  A zero pivot raises LinAlgError.
+
+    Returns (x, smallest pivot).  By Sylvester's law of inertia the matrix is
+    positive definite exactly when the smallest pivot is positive.
     """
     a, c, b = diag.tolist(), e.tolist(), rhs.tolist()
     n = len(a) - 1
     try:
         if n == 0:
-            return np.array([b[0] / (a[0] + 2.0 * c[0])])
+            pivot = a[0] + 2.0 * c[0]
+            return np.array([b[0] / pivot]), pivot
         # forward pass over T: pivots d, g = L^{-1} b and w = L^{-1} v
         dk, gk, wk = a[0], b[0], c[-1]
         d, g, w = [dk], [gk], [wk]
@@ -343,7 +298,7 @@ def _solve_cyclic(diag, e, rhs):
         x[n - 1] = (g[-1] - w[-1] * xn) / d[-1]
         for k in range(n - 2, -1, -1):
             x[k] = (g[k] - w[k] * xn - c[k] * x[k + 1]) / d[k]
-        return np.array(x)
+        return np.array(x), min(min(d), s)
     except ZeroDivisionError:
         raise np.linalg.LinAlgError("singular cyclic system") from None
 
@@ -358,12 +313,19 @@ def _tol_effective(act, q):
 
 
 def _newton_phase(sys, x, p, free=1.0):
-    """Damped Newton on the criticality equations with gap clipping.
+    """Newton on the periodic action with an inertia-controlled shift.
 
-    One order-2 evaluation per trial point gives the action, gradient and
-    Hessian at an accepted step.  free is 0 at pinned coordinates: their
-    gradient is masked and their rows of the Hessian are replaced by the
-    identity, so they never move.  Returns (x, action, residual, converged).
+    Each step solves (H + mu) delta = -grad.  While the smallest LDL^T pivot
+    of H + mu is not positive, delta is not finite or the solve fails, mu
+    rises to max(10 mu, 1e-6 (1 + max|diag|)); so every step is a descent
+    direction of the action.  mu falls by 4 after each step.  The step
+    length t starts at the feasible fraction and halves until the trial point
+    meets the Armijo test A(x + t delta) <= A + 1e-4 t grad.delta or lowers
+    the max-norm residual; once halving no longer moves x, the solve stops
+    unconverged.  One order-2 evaluation per trial point gives the action,
+    gradient and Hessian.  free is 0 at pinned coordinates: their gradient is
+    masked and their rows of the Hessian are replaced by the identity, so
+    they never move.  Returns (x, action, residual, converged).
     """
     q = x.size
     pinned = free == 0
@@ -377,30 +339,31 @@ def _newton_phase(sys, x, p, free=1.0):
             return x, act, res, True
         diag[pinned] = 1.0
         e = e * coupled
-        accepted = False
-        for _ in range(8):
+        while True:
             try:
-                delta = _solve_cyclic(diag + mu, e, -grad) * free
+                delta, pivot = _solve_cyclic(diag + mu, e, -grad)
             except np.linalg.LinAlgError:
-                mu = max(10.0 * mu, 1e-12)
-                continue
-            if not np.all(np.isfinite(delta)):
-                mu = max(10.0 * mu, 1e-12)
-                continue
-            lam = _feasible_fraction(sys, x, delta, p)
-            trial = x + lam * delta
-            act_trial, grad_trial, diag_trial, e_trial = _evaluate(sys, trial, p, 2)
-            grad_trial = grad_trial * free
-            res_trial = float(np.abs(grad_trial).max())
-            if res_trial < res:
-                x, act, grad, res = trial, act_trial, grad_trial, res_trial
-                diag, e = diag_trial, e_trial
-                mu *= 0.25
-                accepted = True
+                delta, pivot = None, 0.0
+            if pivot > 0.0 and np.all(np.isfinite(delta)):
                 break
-            mu = max(10.0 * mu, 1e-10)
-        if not accepted:
-            break
+            mu = max(1e-6 * (1.0 + float(np.abs(diag).max())), 10.0 * mu)
+            if not mu < math.inf:  # no shift makes a NaN Hessian definite
+                return x, act, res, False
+        delta = delta * free
+        slope = float(grad @ delta)
+        t = _feasible_fraction(sys, x, delta, p)
+        while True:
+            trial = x + t * delta
+            if np.array_equal(trial, x):
+                return x, act, res, False
+            act_t, grad_t, diag_t, e_t = _evaluate(sys, trial, p, 2)
+            grad_t = grad_t * free
+            res_t = float(np.abs(grad_t).max())
+            if act_t <= act + 1e-4 * t * slope or res_t < res:
+                break
+            t *= 0.5
+        x, act, grad, res, diag, e = trial, act_t, grad_t, res_t, diag_t, e_t
+        mu *= 0.25
     return x, act, res, res < _tol_effective(act, q)
 
 
@@ -425,16 +388,15 @@ def _select(sys, p, q, candidates):
 
 
 def _solve(sys, p, q, rows, free=1.0):
-    """Descend from the start rows, run Newton from each and _select; free is 0 where pinned."""
-    rows = _gd_phase(sys, rows, p, free)
-    return _select(sys, p, q, [_newton_phase(sys, row.copy(), p, free) for row in rows])
+    """Run Newton from each start row and _select; free is 0 where pinned."""
+    return _select(sys, p, q, [_newton_phase(sys, row, p, free) for row in rows])
 
 
 def _minimize_fixed_point(sys):
     """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
     grid = np.linspace(0.0, sys.period, 512, endpoint=False)
     x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
-    return _select(sys, 0, 1, [_newton_phase(sys, np.array([x0]), 0)])
+    return _solve(sys, 0, 1, np.array([[x0]]))
 
 
 def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> BetaResult:
@@ -442,9 +404,8 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
 
     Multi-start: `starts` equispaced configurations, phase-shifted by
     j*period/(q*starts), each with one small random jitter (deterministic
-    seed).  Two phases per start: projected gradient descent to a residual of
-    SWITCH_TOL, then Newton on the cyclic tridiagonal criticality system.
-    The result is chosen among the Newton results by _select.
+    seed).  Newton with an inertia-controlled shift runs from each start
+    (_newton_phase), and _select chooses among the results.
     """
     opts = opts or MinimizeOptions()
     if q < 1 or p < 0:
@@ -536,10 +497,10 @@ def _minimize_seeded(sys, p, q, opts, prev):
     """minimize_periodic(sys, p, q, opts), seeded from the minimizer prev (a
     Configuration or None) at a nearby rotation number.
 
-    The hull-function starts of prev go straight to Newton when every gap lies
-    inside the solvers' strip and every start already meets the descent's exit
-    test, a residual below SWITCH_TOL.  Otherwise, or when no seeded start
-    converges, the solve runs from scratch.
+    The hull-function starts of prev replace the equispaced ones when every
+    gap lies inside the solvers' strip and every start has a residual below
+    SWITCH_TOL.  Otherwise, or when no seeded start converges, the solve runs
+    from scratch.
     """
     opts = opts or MinimizeOptions()
     if prev is not None:
@@ -549,7 +510,7 @@ def _minimize_seeded(sys, p, q, opts, prev):
         if gaps.min() > gap_min and gaps.max() < sys.max_gap - gap_min:
             res = np.abs(_evaluate(sys, rows, p, 1)[1]).max(axis=1)
             if res.max() < SWITCH_TOL:
-                sol = _select(sys, p, q, [_newton_phase(sys, row.copy(), p) for row in rows])
+                sol = _solve(sys, p, q, rows)
                 if sol.converged:
                     return sol
     return minimize_periodic(sys, p, q, opts)

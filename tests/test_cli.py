@@ -112,6 +112,15 @@ class TestVerifyCommand:
         assert hi - lo < 1e-3
         assert brackets[1] != brackets[0]
 
+    def test_gutkin_eq_tol_reaches_report(self, capsys):
+        # The default bracket's gap is about 5.9e-8: equality at the default
+        # --eq-tol, not at 1e-12.
+        argv = ["verify", "--theorem", "gutkin", "--domain", "disk:1"]
+        for extra, equality in (([], True), (["--eq-tol", "1e-12"], False)):
+            code, out = run(capsys, *argv, *extra)
+            assert code == 0
+            assert json.loads(out.strip())["equality"] is equality
+
     def test_constwidth(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "constwidth", "--domain", "constwidth:0.05,3")
         assert code == 0
@@ -233,6 +242,8 @@ class TestExitCodes:
             (["verify", "--theorem", "radon", "--domain", "disk:1", "--starts", "0"], "starts must be >= 1"),
             (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "0"], "tol must be positive"),
             (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "-1"], "tol must be positive"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--tol", "-5"], "tol must be positive"),
+            (["sweep", "--domain", "disk:1", "--qmax", "3", "--tol", "1e-6"], "unrecognized arguments: --tol"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

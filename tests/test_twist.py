@@ -181,6 +181,20 @@ class TestMinimizePeriodic:
         assert r1.beta == r2.beta
         assert np.array_equal(r1.config.points, r2.config.points)
 
+    # Solves that a Newton accepting only residual decreases left stalled at
+    # residuals of 5e-5 to 8e-5.
+    @pytest.mark.parametrize(
+        "n, seed, index, tag, p, q, want",
+        [(4, 3, 1, "fourth", 8, 21, 5.0854206930), (8, 5, 0, "outer", 12, 29, 3.5846928303)],
+    )
+    def test_stalled_solve_converges(self, n, seed, index, tag, p, q, want):
+        sys = make_system(rigidity.sample_random_domains(n, seed)[index], tag)
+        res = minimize_periodic(sys, p, q)
+        assert res.converged
+        assert abs(res.beta - want) < 1e-9
+        _, _, diag, e = _evaluate(sys, res.config.points, p, 2)
+        assert _solve_cyclic(diag, e, np.zeros(q))[1] > 0.0
+
 
 def noisy(system, seed):
     """The system with S multiplied by 1 + 1e-15 * noise: rounding-level changes only."""
@@ -215,15 +229,34 @@ class TestSolveCyclic:
         rng = np.random.default_rng(q)
         return rng.uniform(3.0, 5.0, q), rng.uniform(-1.0, 1.0, q), rng.standard_normal(q)
 
+    @staticmethod
+    def dense(diag, e):
+        q = diag.size
+        out = np.diag(diag)
+        for k in range(q):
+            out[k, (k + 1) % q] += e[k]
+            out[(k + 1) % q, k] += e[k]
+        return out
+
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 9, 117, 721])
     def test_matches_dense_solve(self, q):
         diag, e, rhs = self.system(q)
-        dense = np.diag(diag)
-        for k in range(q):
-            dense[k, (k + 1) % q] += e[k]
-            dense[(k + 1) % q, k] += e[k]
-        want = np.linalg.solve(dense, rhs)
-        assert np.abs(_solve_cyclic(diag, e, rhs) - want).max() < 1e-12
+        want = np.linalg.solve(self.dense(diag, e), rhs)
+        assert np.abs(_solve_cyclic(diag, e, rhs)[0] - want).max() < 1e-12
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 9, 117])
+    def test_smallest_pivot_gives_inertia(self, q):
+        # Diagonal shifts that leave the spectrum half a unit above zero, put
+        # every eigenvalue below zero or, for q >= 2, only the lowest one; plus
+        # a diagonal of random sign.
+        diag, e, rhs = self.system(q)
+        lam = np.linalg.eigvalsh(self.dense(diag, e))
+        shifts = [lam[0] - 0.5, lam[-1] + 0.5] + ([0.5 * (lam[0] + lam[1])] if q >= 2 else [])
+        cases = [diag - c for c in shifts] + [np.random.default_rng(q).uniform(-2.0, 2.0, q)]
+        definite = [np.linalg.eigvalsh(self.dense(d, e)).min() > 0.0 for d in cases]
+        assert definite[: len(shifts)] == [True, False, False][: len(shifts)]
+        for d, want in zip(cases, definite):
+            assert (_solve_cyclic(d, e, rhs)[1] > 0.0) == want
 
     @pytest.mark.parametrize("q, pinned", [(2, 0), (5, 0), (5, 2), (5, 4)])
     def test_pinned_row_returns_rhs(self, q, pinned):
@@ -231,7 +264,7 @@ class TestSolveCyclic:
         diag, e, rhs = self.system(q)
         diag[pinned] = 1.0
         e[pinned] = e[pinned - 1] = 0.0
-        assert _solve_cyclic(diag, e, rhs)[pinned] == rhs[pinned]
+        assert _solve_cyclic(diag, e, rhs)[0][pinned] == rhs[pinned]
 
     @pytest.mark.parametrize("diag, e", [([-1.0], [0.5]), ([1.0, 1.0], [0.5, 0.5])])
     def test_singular_raises(self, diag, e):
@@ -296,12 +329,17 @@ class TestBetaIrrational:
         sys = make_system(disk(1.0), "birkhoff")
         assert beta_irrational(sys, 0.25, 1e-6) == pytest.approx(-2 * math.sin(math.pi / 4), abs=1e-12)
 
-    def test_rational_omega_carries_solve_convergence(self):
-        # This solve stops at a residual of about 7.9e-5; an exact fraction
-        # must not report it as converged.
+    def test_rational_omega_carries_solve_convergence(self, monkeypatch):
+        # An exact fraction is solved as that rational; an unconverged solve
+        # must not be reported as a converged bracket.
         sys = make_system(rigidity.sample_random_domains(4, 3)[1], "fourth")
         sol = minimize_periodic(sys, 8, 21)
-        assert not sol.converged
+        assert sol.converged and beta_irrational_result(sys, 8 / 21).converged
+
+        def unconverged(sys, p, q, opts=None):
+            return dataclasses.replace(minimize_periodic(sys, p, q, opts), converged=False)
+
+        monkeypatch.setattr(twist, "minimize_periodic", unconverged)
         res = beta_irrational_result(sys, 8 / 21)
         assert not res.converged
         assert res.value == res.lower == res.upper == sol.beta
@@ -329,11 +367,19 @@ class TestBetaIrrational:
         assert res.upper - res.lower < 1e-6
         assert not res.converged
 
-    def test_inverted_bracket_is_unconverged(self):
-        # The computed convergent beta values of this domain are not convex,
-        # so the lower bound ends about 6.4e-9 above the upper one.
-        dom = rigidity.sample_random_domains(4, 3)[3]
-        res = beta_irrational_result(make_system(dom, "fourth"), 1 / math.sqrt(10), 1e-6)
+    def test_inverted_bracket_is_unconverged(self, monkeypatch):
+        # Lowering beta at the convergent 6/19 by 1e-5 makes the convergent
+        # values non-convex, so the lower bound ends about 6.8e-9 above the upper one.
+        sys = make_system(rigidity.sample_random_domains(4, 3)[3], "fourth")
+        solve = twist._minimize_seeded
+
+        def lowered_at_19(sys, p, q, opts, prev):
+            res = solve(sys, p, q, opts, prev)
+            return dataclasses.replace(res, beta=res.beta - 1e-5) if q == 19 else res
+
+        assert beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6).converged
+        monkeypatch.setattr(twist, "_minimize_seeded", lowered_at_19)
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert 1e-9 < res.lower - res.upper < 1e-6
         assert not res.converged
 
@@ -348,19 +394,18 @@ class TestHullSeed:
     @pytest.mark.parametrize("family", ["ellipse", "disk"])
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_seeded_ladder_matches_scratch(self, monkeypatch, family, tag):
-        descents = []
-        gd_phase = twist._gd_phase
+        scratch = []
 
-        def counted(sys, rows, p, free=1.0):
-            descents.append(rows.shape[-1])
-            return gd_phase(sys, rows, p, free)
+        def counted(sys, p, q, opts=None):
+            scratch.append(q)
+            return minimize_periodic(sys, p, q, opts)
 
-        monkeypatch.setattr(twist, "_gd_phase", counted)
+        monkeypatch.setattr(twist, "minimize_periodic", counted)
         sys = make_system(ellipse(1.5, 0.8) if family == "ellipse" else disk(1.0), tag)
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert res.converged
         if family == "ellipse" and tag in ("outer", "fourth"):
-            assert res.evaluations[-1][1] == 721 and 721 not in descents
+            assert res.evaluations[-1][1] == 721 and 721 not in scratch
         for p, q, b in res.evaluations:
             assert abs(b - minimize_periodic(sys, p, q).beta) <= 1e-12
 
