@@ -71,8 +71,6 @@ from .twist import (
     make_toy_system,
     minimize_periodic,
     minimize_with_fixed_start,
-    quadratic_kinetic,
-    trig_potential,
 )
 
 __version__ = "0.1.0"

@@ -275,9 +275,7 @@ def cmd_toy(args) -> int:
     grid = _farey_grid(args.qmax, include_half=True)
     cos_coeffs = [float(v) for v in args.vcos.split(",") if v] if args.vcos else []
     sin_coeffs = [float(v) for v in args.vsin.split(",") if v] if args.vsin else []
-    ell, ell_d, ell_dd = twist.quadratic_kinetic()
-    V, V_d, V_dd = twist.trig_potential(cos_coeffs, sin_coeffs)
-    sys = twist.make_toy_system(ell, ell_d, ell_dd, V, V_d, V_dd)
+    sys = twist.make_toy_system(cos_coeffs, sin_coeffs)
     lines = ["rho,beta_V,beta_0,gap"]
     worst = 0.0
     for p, q in grid:

@@ -313,6 +313,25 @@ def make_named(family: str, *params) -> SupportDomain:
     return builder(*params)
 
 
+def bisect(f, lo, hi, flo):
+    """Midpoint bisection of sign changes of f in the brackets [lo, hi], flo = f(lo).
+
+    The brackets are scalars or arrays (f then acts elementwise); all are
+    halved together until every one is narrower than 1e-13, at most 80 times.
+    Returns the bracket midpoints, a float for a scalar bracket.
+    """
+    lo, hi, flo = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), np.asarray(flo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        same = (fm > 0) == (flo > 0)
+        lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
+        if (hi - lo).max() < 1e-13:
+            break
+    mid = 0.5 * (lo + hi)
+    return float(mid) if mid.ndim == 0 else mid
+
+
 @dataclass(frozen=True)
 class RadonReport:
     is_centrally_symmetric: bool
@@ -343,13 +362,7 @@ def radon_check(dom: SupportDomain, tol: float = 1e-8) -> RadonReport:
 
     phi = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     lo, hi = phi + 1e-12, phi + math.pi - 1e-12
-    flo = support_dot(lo, phi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = support_dot(mid, phi)
-        same = (fm > 0) == (flo > 0)
-        lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
-    psi = 0.5 * (lo + hi)
+    psi = bisect(lambda t: support_dot(t, phi), lo, hi, support_dot(lo, phi))
     pos = boundary_xy(dom, phi)
     ang_pos = np.arctan2(pos[:, 1], pos[:, 0])
     ang_tan = psi + 0.5 * math.pi

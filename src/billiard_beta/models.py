@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SupportDomain, boundary_xy, eval_support, support_jet
+from .geometry import SupportDomain, bisect, boundary_xy, eval_support, support_jet
 from .twist import Configuration, TwistSystem, _closed, _roll
 
 TWO_PI = 2.0 * math.pi
@@ -249,19 +249,6 @@ class ChordState:
     alpha: float
 
 
-def _bisect(f, lo, hi, flo):
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
     c, s = math.cos(phi), math.sin(phi)
     tangent = np.array([-s, c])
@@ -277,7 +264,7 @@ def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
     flo = f(lo)
     if (flo > 0) == (f(hi) > 0):
         raise RuntimeError("geometry error")
-    psi = _bisect(f, lo, hi, flo)
+    psi = bisect(f, lo, hi, flo)
     t1 = np.array([-math.sin(psi), math.cos(psi)])
     n1 = np.array([math.cos(psi), math.sin(psi)])
     alpha1 = math.atan2(float(d @ n1), float(d @ t1))
@@ -302,7 +289,7 @@ def _symplectic_step(dom: SupportDomain, t0: float, t1: float):
         if idx.size == 0:
             raise RuntimeError("geometry error")
         lo, hi, flo = grid[idx[0]], grid[idx[0] + 1], vals[idx[0]]
-    t2 = _bisect(f, lo, hi, flo)
+    t2 = bisect(f, lo, hi, flo)
     return t1, t2
 
 
@@ -320,7 +307,7 @@ def _outer_step(dom: SupportDomain, point: np.ndarray):
         raise RuntimeError("geometry error")
     i = int(down[0])
     lo, hi = grid[i], grid[i] + (TWO_PI / grid.size)
-    theta = _bisect(f, lo, hi, f(lo))
+    theta = bisect(f, lo, hi, f(lo))
     tangency = boundary_xy(dom, theta)
     return 2.0 * tangency - point, theta
 

@@ -116,26 +116,6 @@ class GutkinRootSet:
     roots: tuple
 
 
-def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _tan_multiple_polys(n: int):
-    """Integer numerator/denominator polynomials of tan(n x) in t = tan(x)."""
-    num, den = [0, 1], [1]
-    for _ in range(n - 1):
-        # tan((k+1)x) = (N + t D) / (D - t N)
-        new_num = _poly_add(num, [0] + den)
-        new_den = _poly_add(den, [-c for c in [0] + num])
-        num, den = new_num, new_den
-    return num, den
-
-
 def _poly_eval_exact(coeffs, s: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -160,25 +140,18 @@ def _poly_scaled(coeffs, s: float) -> float:
 def gutkin_roots(n: int) -> GutkinRootSet:
     """Roots delta in (0, 1/2) of tan(n pi delta) = n tan(pi delta).
 
-    tan(n x) is reduced to a rational function of t = tan(x) by the addition
-    recurrence; the equation becomes an integer polynomial P(t) = 0 with a
-    trivial triple root at t = 0.  P is odd, so the substitution s = t^2
-    leaves R(s) whose positive roots are isolated with certified sign changes
-    (exact rational arithmetic) and refined by bisection.
+    With t = tan(x), tan(n x) = Im (1 + i t)^n / Re (1 + i t)^n, so the
+    equation becomes the odd integer polynomial P(t) = Im - n t Re = 0 with a
+    trivial triple root at t = 0.  P / t^3 is R(s) in s = t^2, with
+    coefficients r_j = (-1)^(j+1) (C(n, 2j+3) - n C(n, 2j+2)) for j < n // 2
+    and r_0 = n (n-1) (n+1) / 3 > 0.  Its positive roots are isolated with
+    certified sign changes (exact rational arithmetic) and refined by
+    bisection.
     """
     if not 2 <= n <= 64:
         raise ValueError("mode n must be in [2, 64]")
-    num, den = _tan_multiple_polys(n)
-    p = [0] * max(len(num), len(den) + 1)
-    for i, c in enumerate(num):
-        p[i] += c
-    for i, c in enumerate(den):
-        p[i + 1] -= n * c
-    assert p[0] == 0 and p[1] == 0 and p[2] == 0
-    r = p[3::2]  # R(s) with s = t^2; odd polynomial / t^3
-    assert all(c == 0 for c in p[4::2])
-    if all(c == 0 for c in r):
-        return GutkinRootSet(n, ())
+    r = [(-1) ** (j + 1) * (math.comb(n, 2 * j + 3) - n * math.comb(n, 2 * j + 2))
+         for j in range(n // 2)]
 
     xs = np.linspace(1e-9, 0.5 * math.pi - 1e-9, 32 * n + 1)
     svals = np.tan(xs) ** 2

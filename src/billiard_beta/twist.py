@@ -263,20 +263,24 @@ def _solve_cyclic(diag, e, rhs):
     leading (q-1)x(q-1) tridiagonal block T is factored by the pivots
     d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the corner
     coupling at row 0 and e[q-2] at row q-2.  The last pivot is the Schur
-    complement s = a_{q-1} - v^T T^{-1} v.  A zero pivot raises LinAlgError.
+    complement s = a_{q-1} - v^T T^{-1} v.
 
-    Returns (x, smallest pivot).  By Sylvester's law of inertia the matrix is
-    positive definite exactly when the smallest pivot is positive.
+    Returns x, or None unless every pivot is positive and x is finite.  By
+    Sylvester's law of inertia the pivots are all positive exactly when the
+    matrix is positive definite.
     """
     a, c, b = diag.tolist(), e.tolist(), rhs.tolist()
     n = len(a) - 1
+    if n == 0:
+        s = a[0] + 2.0 * c[0]
+        if not s > 0.0:
+            return None
+        x = np.array([b[0] / s])
+        return x if np.isfinite(x).all() else None
+    # forward pass over T: pivots d, g = L^{-1} b and w = L^{-1} v
+    dk, gk, wk = a[0], b[0], c[-1]
+    d, g, w = [dk], [gk], [wk]
     try:
-        if n == 0:
-            pivot = a[0] + 2.0 * c[0]
-            return np.array([b[0] / pivot]), pivot
-        # forward pass over T: pivots d, g = L^{-1} b and w = L^{-1} v
-        dk, gk, wk = a[0], b[0], c[-1]
-        d, g, w = [dk], [gk], [wk]
         for ck, ak, bk in zip(c, a[1:n], b[1:n]):
             mk = ck / dk
             dk = ak - ck * mk
@@ -285,22 +289,27 @@ def _solve_cyclic(diag, e, rhs):
             d.append(dk)
             g.append(gk)
             w.append(wk)
-        w[-1] += c[n - 1]
-        # last pivot: s = a_{q-1} - w^T D^{-1} w, the Schur complement
-        s, gn = a[n], b[n]
-        for dk, gk, wk in zip(d, g, w):
-            r = wk / dk
-            s -= wk * r
-            gn -= gk * r
-        xn = gn / s
-        # back substitution through D L^T, whose superdiagonal is e
-        x = [0.0] * n + [xn]
-        x[n - 1] = (g[-1] - w[-1] * xn) / d[-1]
-        for k in range(n - 2, -1, -1):
-            x[k] = (g[k] - w[k] * xn - c[k] * x[k + 1]) / d[k]
-        return np.array(x), min(min(d), s)
-    except ZeroDivisionError:
-        raise np.linalg.LinAlgError("singular cyclic system") from None
+    except ZeroDivisionError:  # a zero pivot
+        return None
+    if not min(d) > 0.0:
+        return None
+    w[-1] += c[n - 1]
+    # last pivot: s = a_{q-1} - w^T D^{-1} w, the Schur complement
+    s, gn = a[n], b[n]
+    for dk, gk, wk in zip(d, g, w):
+        r = wk / dk
+        s -= wk * r
+        gn -= gk * r
+    if not s > 0.0:
+        return None
+    xn = gn / s
+    # back substitution through D L^T, whose superdiagonal is e
+    x = [0.0] * n + [xn]
+    x[n - 1] = (g[-1] - w[-1] * xn) / d[-1]
+    for k in range(n - 2, -1, -1):
+        x[k] = (g[k] - w[k] * xn - c[k] * x[k + 1]) / d[k]
+    x = np.array(x)
+    return x if np.isfinite(x).all() else None
 
 
 # perfbench/tracing.py times the cyclic solve by wrapping this name; drop the
@@ -315,9 +324,9 @@ def _tol_effective(act, q):
 def _newton_phase(sys, x, p, free=1.0):
     """Newton on the periodic action with an inertia-controlled shift.
 
-    Each step solves (H + mu) delta = -grad.  While the smallest LDL^T pivot
-    of H + mu is not positive, delta is not finite or the solve fails, mu
-    rises to max(10 mu, 1e-6 (1 + max|diag|)); so every step is a descent
+    Each step solves (H + mu) delta = -grad.  While H + mu is not positive
+    definite or delta is not finite (_solve_cyclic returns None), mu rises
+    to max(10 mu, 1e-6 (1 + max|diag|)); so every step is a descent
     direction of the action.  mu falls by 4 after each step.  The step
     length t starts at the feasible fraction and halves until the trial point
     meets the Armijo test A(x + t delta) <= A + 1e-4 t grad.delta or lowers
@@ -339,13 +348,7 @@ def _newton_phase(sys, x, p, free=1.0):
             return x, act, res, True
         diag[pinned] = 1.0
         e = e * coupled
-        while True:
-            try:
-                delta, pivot = _solve_cyclic(diag + mu, e, -grad)
-            except np.linalg.LinAlgError:
-                delta, pivot = None, 0.0
-            if pivot > 0.0 and np.all(np.isfinite(delta)):
-                break
+        while (delta := _solve_cyclic(diag + mu, e, -grad)) is None:
             mu = max(1e-6 * (1.0 + float(np.abs(diag).max())), 10.0 * mu)
             if not mu < math.inf:  # no shift makes a NaN Hessian definite
                 return x, act, res, False
@@ -607,69 +610,32 @@ def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -
     return float(np.mean(sys.jet(t + x0, t + x0 + gap, 0)[0]))
 
 
-def make_toy_system(
-    ell: Callable,
-    ell_d: Callable,
-    ell_dd: Callable,
-    V: Callable | None = None,
-    V_d: Callable | None = None,
-    V_dd: Callable | None = None,
-    name: str = "toy",
-) -> TwistSystem:
-    """Integrable kinetic term plus periodic potential: S(q, Q) = ell(Q-q) + V(q).
+def make_toy_system(cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float] = ()) -> TwistSystem:
+    """Frenkel-Kontorova toy: S(x0, x1) = v^2 / 2 + V(x0) with v = x1 - x0 and
+    the zero-mean potential V(x) = sum_k c_k cos(2 pi k x) + s_k sin(2 pi k x).
 
-    The potential mean over one period is subtracted, so the zero-mean
-    normalization holds regardless of the supplied V.  A potential needs both
-    derivatives, V_d for the gradient and V_dd for the Newton Hessian.
-    """
-    if V is None:
-        V = V_d = V_dd = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if V_d is None or V_dd is None:
-        raise ValueError("V requires V_d and V_dd for the action gradient and Hessian")
-    grid = np.linspace(0.0, 1.0, 8192, endpoint=False)
-    v_mean = float(np.mean(V(grid)))
-
-    def jet(x0, x1, order):
-        v = x1 - x0
-        out = [ell(v) + V(x0) - v_mean]
-        if order >= 1:
-            out += [-ell_d(v) + V_d(x0), ell_d(v)]
-        if order >= 2:
-            out += [ell_dd(v) + V_dd(x0), -ell_dd(v), ell_dd(v)]
-        return out
-
-    return TwistSystem(1.0, math.inf, jet, name=name)
-
-
-def quadratic_kinetic():
-    """ell(v) = v^2 / 2 with derivatives; the free toy system has beta = rho^2/2."""
-    return (lambda v: 0.5 * np.asarray(v) ** 2, lambda v: np.asarray(v) + 0.0, lambda v: np.ones_like(np.asarray(v, dtype=float)))
-
-
-def trig_potential(cos_coeffs: Sequence[float], sin_coeffs: Sequence[float] = ()):
-    """Zero-mean trigonometric potential sum_k c_k cos(2 pi k q) + s_k sin(2 pi k q).
-
-    The shorter coefficient list is padded with zeros; no coefficients give V = 0.
+    The shorter coefficient list is padded with zeros; no coefficients give
+    V = 0 and beta = rho^2 / 2.  The jet builds one cos/sin table of x0.
     """
     n = max(len(cos_coeffs), len(sin_coeffs))
     cos_c, sin_c = np.zeros(n), np.zeros(n)
     cos_c[: len(cos_coeffs)] = cos_coeffs
     sin_c[: len(sin_coeffs)] = sin_coeffs
-    k = 2.0 * math.pi * np.arange(1, cos_c.size + 1)
+    k = 2.0 * math.pi * np.arange(1, n + 1)
 
-    def V(x):
-        ang = np.multiply.outer(np.asarray(x, dtype=float), k)
-        return np.cos(ang) @ cos_c + np.sin(ang) @ sin_c
+    def jet(x0, x1, order):
+        v = x1 - x0
+        ang = np.multiply.outer(np.asarray(x0, dtype=float), k)
+        cos, sin = np.cos(ang), np.sin(ang)
+        out = [0.5 * v * v + (cos @ cos_c + sin @ sin_c)]
+        if order >= 1:
+            out += [-v + (-sin @ (k * cos_c) + cos @ (k * sin_c)), v]
+        if order >= 2:
+            one = np.ones_like(v)
+            out += [one + (-cos @ (k * k * cos_c) - sin @ (k * k * sin_c)), -one, one]
+        return out
 
-    def V_d(x):
-        ang = np.multiply.outer(np.asarray(x, dtype=float), k)
-        return -np.sin(ang) @ (k * cos_c) + np.cos(ang) @ (k * sin_c)
-
-    def V_dd(x):
-        ang = np.multiply.outer(np.asarray(x, dtype=float), k)
-        return -np.cos(ang) @ (k * k * cos_c) - np.sin(ang) @ (k * k * sin_c)
-
-    return V, V_d, V_dd
+    return TwistSystem(1.0, math.inf, jet, name="toy")
 
 
 def farey_fractions(max_den: int, include_half: bool = True) -> list[tuple[int, int]]:

@@ -35,8 +35,6 @@ from billiard_beta.twist import (
     farey_fractions,
     make_toy_system,
     minimize_periodic,
-    quadratic_kinetic,
-    trig_potential,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -171,9 +169,8 @@ def test_criterion_7_outer_counterexample():
 
 
 def test_criterion_8_toy_model():
-    ell, ell_d, ell_dd = quadratic_kinetic()
     grid = farey_fractions(10)
-    free = make_toy_system(ell, ell_d, ell_dd)
+    free = make_toy_system()
     worst_eq = max(abs(beta_rational(free, p, q) - (p / q) ** 2 / 2) for p, q in grid)
     rng = np.random.default_rng(17)
     ok_all, strict_all = True, True
@@ -181,8 +178,7 @@ def test_criterion_8_toy_model():
         coeffs = rng.uniform(-0.03, 0.03, 3)
         while np.abs(coeffs).max() < 1e-3:
             coeffs = rng.uniform(-0.03, 0.03, 3)
-        V, V_d, V_dd = trig_potential(coeffs, rng.uniform(-0.03, 0.03, 3))
-        sys = make_toy_system(ell, ell_d, ell_dd, V, V_d, V_dd)
+        sys = make_toy_system(coeffs, rng.uniform(-0.03, 0.03, 3))
         gaps = [(p / q) ** 2 / 2 - beta_rational(sys, p, q) for p, q in grid]
         ok_all &= min(gaps) >= -1e-10
         strict_all &= max(gaps) > 1e-6

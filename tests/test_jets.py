@@ -9,7 +9,7 @@ import pytest
 from billiard_beta import rigidity
 from billiard_beta.geometry import SupportDomain, disk, ellipse, eval_support, support_jet
 from billiard_beta.models import MODEL_TAGS, make_system
-from billiard_beta.twist import _closed, beta_irrational_result, make_toy_system, quadratic_kinetic, trig_potential
+from billiard_beta.twist import _closed, beta_irrational_result, make_toy_system
 
 TWO_PI = 2 * math.pi
 VIEWS = ("S", "S1", "S2", "S11", "S12", "S22")
@@ -93,9 +93,16 @@ def model_systems():
     return [make_system(dom, tag) for dom in doms for tag in MODEL_TAGS]
 
 
-def toy():
-    ell, ell_d, ell_dd = quadratic_kinetic()
-    return make_toy_system(ell, ell_d, ell_dd, *trig_potential([0.02, -0.01], [0.015]))
+def systems():
+    """The model systems and three toys (cos and sin terms, sin only, V = 0),
+    as pytest params named by system."""
+    toys = {
+        "toy": make_toy_system([0.02, -0.01], [0.015]),
+        "toy-sin": make_toy_system([], [0.01, -0.005]),
+        "toy-free": make_toy_system(),
+    }
+    params = [pytest.param(s, id=s.name) for s in model_systems()]
+    return params + [pytest.param(s, id=name) for name, s in toys.items()]
 
 
 def edges(rng, system, shape):
@@ -105,7 +112,7 @@ def edges(rng, system, shape):
 
 
 class TestModelJet:
-    @pytest.mark.parametrize("system", model_systems() + [toy()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("system", systems())
     def test_views_are_jet_components(self, system):
         x0, x1 = edges(np.random.default_rng(3), system, (4, 6))
         for order, size in ((0, 1), (1, 3), (2, 6)):
@@ -119,7 +126,7 @@ class TestModelJet:
         values = system.jet(0.3, 0.3 + 0.5 * system.max_gap, 2)
         assert all(np.ndim(v) == 0 for v in values)
 
-    @pytest.mark.parametrize("system", model_systems() + [toy()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("system", systems())
     def test_partials_match_central_differences(self, system):
         x0, x1 = edges(np.random.default_rng(5), system, 40)
         step = 1e-6
@@ -141,7 +148,7 @@ class TestModelJet:
 class TestCyclicJet:
     """cyclic_jet on a closed configuration equals the pairwise jet on its edges."""
 
-    @pytest.mark.parametrize("system", model_systems() + [toy()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("system", systems())
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_pairwise_jet(self, system, p):
         q = 7  # p / q < 1/2 keeps every gap admissible for each model

@@ -78,6 +78,12 @@ class TestGutkinRoots:
         assert len(roots) == 1
         assert roots[0] == pytest.approx(math.atan(math.sqrt(5.0 / 3.0)) / math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_one_root_per_full_branch(self, n):
+        # tan(n x) - n tan(x) changes sign once on each full branch of
+        # tan(n x) inside (0, pi/2): (n - 2) // 2 roots
+        assert len(gutkin_roots(n).roots) == (n - 2) // 2
+
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_roots_satisfy_tangent_equation(self, n):
         for delta in gutkin_roots(n).roots:
