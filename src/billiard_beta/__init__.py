@@ -58,7 +58,6 @@ from .rigidity import (
 from .twist import (
     BetaResult,
     Configuration,
-    MinimizeOptions,
     RotationNumber,
     TwistSystem,
     action,

@@ -27,12 +27,14 @@ from .rigidity import (
     outer_third_relation,
     verify_main_inequality,
 )
-from .twist import MinimizeOptions, RotationNumber, farey_fractions, minimize_periodic
+from .twist import RotationNumber, farey_fractions, minimize_periodic
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NOCONV = 3
+
+SEED_HELP = "accepted and ignored: no solve draws random numbers"
 
 
 def _fmt(x: float) -> str:
@@ -99,9 +101,9 @@ def cmd_beta(args) -> int:
         tag, rho = job
         sys = make_system(dom, tag)
         if rho.is_rational:
-            res = twist.minimize_periodic(sys, rho.p, rho.q, args.opts)
+            res = twist.minimize_periodic(sys, rho.p, rho.q)
             return tag, rho, res.beta, res.grad_residual, res.converged, res.config
-        ir = twist.beta_irrational_result(sys, rho.omega, rho.tol, args.opts)
+        ir = twist.beta_irrational_result(sys, rho.omega, rho.tol)
         return tag, rho, ir.value, ir.upper - ir.lower, ir.converged, None
 
     results = [run(job) for job in jobs]
@@ -141,7 +143,7 @@ def cmd_beta(args) -> int:
 
 
 def _verify_reports(args, dom) -> list:
-    kw = dict(opts=args.opts, num_tol=args.num_tol, eq_tol=args.eq_tol)
+    kw = dict(num_tol=args.num_tol, eq_tol=args.eq_tol)
     theorem = args.theorem
     if theorem in ("T4.2", "T4.3", "T4.4"):
         rotations = parse_rotations(args.rot or "1/3", args.tol)
@@ -246,7 +248,7 @@ def cmd_sweep(args) -> int:
     tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
 
     results = [
-        (tag, p, q, minimize_periodic(make_system(dom, tag), p, q, args.opts))
+        (tag, p, q, minimize_periodic(make_system(dom, tag), p, q))
         for tag in tags
         for p, q in grid
     ]
@@ -279,7 +281,7 @@ def cmd_toy(args) -> int:
     lines = ["rho,beta_V,beta_0,gap"]
     worst = 0.0
     for p, q in grid:
-        beta_v = minimize_periodic(sys, p, q, args.opts).beta
+        beta_v = minimize_periodic(sys, p, q).beta
         beta_0 = 0.5 * (p / q) ** 2
         gap = beta_0 - beta_v
         worst = min(worst, gap)
@@ -298,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--domain", required=True, help="family:params (disk:1, ellipse:2,1, "
                        "gutkin:4,0.05, constwidth:0.05,3, squeezed:0.1) or a .json path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=8)
+        p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p_beta = sub.add_parser("beta", help="compute beta for (domain, model, rotation) triples")
@@ -339,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--vcos", default="", help="comma coefficients of cos(2 pi k q)")
     p_toy.add_argument("--vsin", default="", help="comma coefficients of sin(2 pi k q)")
     p_toy.add_argument("--qmax", type=int, default=10)
-    p_toy.add_argument("--seed", type=int, default=0)
-    p_toy.add_argument("--starts", type=int, default=8)
+    p_toy.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p_toy.add_argument("--out", default="-")
     p_toy.set_defaults(func=cmd_toy)
     return parser
@@ -353,7 +353,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        args.opts = MinimizeOptions(seed=args.seed, starts=args.starts)
         if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {args.tol!r}")
         return args.func(args)

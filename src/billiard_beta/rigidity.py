@@ -17,13 +17,7 @@ import numpy as np
 from . import geometry
 from .geometry import SupportDomain, area, eval_support, perimeter, support_jet
 from .models import beta_disk, make_system, outer_polygon, polygon_area
-from .twist import (
-    MinimizeOptions,
-    RotationNumber,
-    beta_irrational_result,
-    minimize_periodic,
-    minimize_with_fixed_start,
-)
+from .twist import RotationNumber, beta_irrational_result, minimize_periodic, minimize_with_fixed_start
 
 EQ_TOL = 1e-6
 NUM_TOL = 1e-8
@@ -84,7 +78,6 @@ def verify_main_inequality(
     dom: SupportDomain,
     theorem: str,
     rho: RotationNumber,
-    opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
@@ -94,10 +87,10 @@ def verify_main_inequality(
     tag = _MAIN_MODEL[theorem]
     sys = make_system(dom, tag)
     if rho.is_rational:
-        res = minimize_periodic(sys, rho.p, rho.q, opts)
+        res = minimize_periodic(sys, rho.p, rho.q)
         lhs, converged, residual = res.beta, res.converged, res.grad_residual
     else:
-        ir = beta_irrational_result(sys, rho.omega, rho.tol, opts)
+        ir = beta_irrational_result(sys, rho.omega, rho.tol)
         lhs, converged, residual = ir.value, ir.converged, ir.upper - ir.lower
     rhs = _disk_beta(dom, tag, rho.value)
     return _report(
@@ -136,6 +129,11 @@ def _poly_scaled(coeffs, s: float) -> float:
     return acc
 
 
+def _root_grid(n: int) -> np.ndarray:
+    """The s = tan^2(x) grid on which gutkin_roots(n) brackets sign changes."""
+    return np.tan(np.linspace(1e-9, 0.5 * math.pi - 1e-9, 32 * n + 1)) ** 2
+
+
 @lru_cache(maxsize=None)
 def gutkin_roots(n: int) -> GutkinRootSet:
     """Roots delta in (0, 1/2) of tan(n pi delta) = n tan(pi delta).
@@ -146,35 +144,31 @@ def gutkin_roots(n: int) -> GutkinRootSet:
     coefficients r_j = (-1)^(j+1) (C(n, 2j+3) - n C(n, 2j+2)) for j < n // 2
     and r_0 = n (n-1) (n+1) / 3 > 0.  Its positive roots are isolated with
     certified sign changes (exact rational arithmetic) and refined by
-    bisection.
+    bisection.  A bracket starts where the sign is not zero, so a root on a
+    grid point is found once, as the end of the bracket before it.
     """
     if not 2 <= n <= 64:
         raise ValueError("mode n must be in [2, 64]")
     r = [(-1) ** (j + 1) * (math.comb(n, 2 * j + 3) - n * math.comb(n, 2 * j + 2))
          for j in range(n // 2)]
 
-    xs = np.linspace(1e-9, 0.5 * math.pi - 1e-9, 32 * n + 1)
-    svals = np.tan(xs) ** 2
+    svals = _root_grid(n)
     signs = np.sign([_poly_scaled(r, s) for s in svals])
     roots = []
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
+    for i in np.flatnonzero((signs[:-1] != 0) & (signs[:-1] * signs[1:] <= 0)):
         lo, hi = Fraction(float(svals[i])), Fraction(float(svals[i + 1]))
         flo = _poly_eval_exact(r, lo)
-        if flo == 0:
-            roots.append(float(lo))
-            continue
         for _ in range(80):
+            if flo == 0:  # lo is a root
+                hi = lo
+                break
             mid = (lo + hi) / 2
             fm = _poly_eval_exact(r, mid)
-            if fm == 0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
+            if fm == 0 or (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
                 hi = mid
-        s_root = float((lo + hi) / 2)
-        roots.append(math.atan(math.sqrt(s_root)) / math.pi)
+        roots.append(math.atan(math.sqrt(float((lo + hi) / 2))) / math.pi)
     return GutkinRootSet(n, tuple(sorted(roots)))
 
 
@@ -207,8 +201,7 @@ def gutkin_equality_check(
     n: int,
     eps: float,
     beta_tol: float = 1e-6,
-    eq_tol: float = 3e-6,
-    opts: MinimizeOptions | None = None,
+    eq_tol: float = EQ_TOL,
     num_tol: float = NUM_TOL,
 ) -> InequalityReport:
     """Equality in the Birkhoff inequality at the first Gutkin root of mode n."""
@@ -219,7 +212,7 @@ def gutkin_equality_check(
     dom = geometry.gutkin(n, eps)
     residual = equispaced_criticality_residual(dom, delta)
     sys = make_system(dom, "birkhoff")
-    ir = beta_irrational_result(sys, delta, beta_tol, opts)
+    ir = beta_irrational_result(sys, delta, beta_tol)
     rhs = _disk_beta(dom, "birkhoff", delta)
     return _report(
         "T4.2",
@@ -244,13 +237,12 @@ def width_defect(dom: SupportDomain) -> float:
 
 def constant_width_equality(
     dom: SupportDomain,
-    opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
     """Birkhoff inequality at rho = 1/2; equality characterizes constant width."""
     defect = width_defect(dom)
-    res = minimize_periodic(make_system(dom, "birkhoff"), 1, 2, opts)
+    res = minimize_periodic(make_system(dom, "birkhoff"), 1, 2)
     rhs = _disk_beta(dom, "birkhoff", 0.5)
     return _report(
         "T4.2",
@@ -266,20 +258,19 @@ def constant_width_equality(
     )
 
 
-def _beta_pair(dom, p, q, opts):
-    out = minimize_periodic(make_system(dom, "outer"), p, q, opts)
-    symp = minimize_periodic(make_system(dom, "symplectic"), p, q, opts)
+def _beta_pair(dom, p, q):
+    out = minimize_periodic(make_system(dom, "outer"), p, q)
+    symp = minimize_periodic(make_system(dom, "symplectic"), p, q)
     return out, symp
 
 
 def outer_third_relation(
     dom: SupportDomain,
-    opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
     """beta_out(1/3) + 4 beta_symp(1/3) <= 0, equality iff period-3 invariant curve."""
-    out, symp = _beta_pair(dom, 1, 3, opts)
+    out, symp = _beta_pair(dom, 1, 3)
     lhs = out.beta + 4.0 * symp.beta
     return _report(
         "C6.3",
@@ -305,12 +296,11 @@ def triangle_midpoint_property(dom: SupportDomain) -> float:
 
 def outer_quarter_relation(
     dom: SupportDomain,
-    opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
     """beta_out(1/4) + 2 beta_symp(1/4) <= 0 plus the midpoint half-area identity."""
-    out, symp = _beta_pair(dom, 1, 4, opts)
+    out, symp = _beta_pair(dom, 1, 4)
     lhs = out.beta + 2.0 * symp.beta
     poly = outer_polygon(dom, out.config)
     midpoints = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
@@ -333,7 +323,6 @@ def outer_quarter_relation(
 def outer_counterexample(
     dom: SupportDomain,
     rho: Fraction | float,
-    opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
@@ -345,7 +334,7 @@ def outer_counterexample(
     frac = Fraction(rho).limit_denominator(64)
     if (frac.numerator, frac.denominator) not in ((1, 3), (1, 4)):
         raise ValueError("counterexample check is stated for rho in {1/3, 1/4}")
-    res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator, opts)
+    res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
     rhs = _disk_beta(dom, "outer", float(frac))
     return _report(
         "CE6.5",
@@ -379,7 +368,6 @@ def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> floa
 def outer_rigidity_theorem(
     dom: SupportDomain,
     rho: Fraction,
-    opts: MinimizeOptions | None = None,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
@@ -394,7 +382,7 @@ def outer_rigidity_theorem(
     if theorem is None:
         raise ValueError("outer rigidity is stated for rho in {1/3, 1/4}")
     spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
-    res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator, opts)
+    res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
     rhs = _disk_beta(dom, "outer", float(frac))
     return _report(
         theorem,

@@ -151,7 +151,6 @@ class BetaResult:
     beta: float
     config: Configuration
     grad_residual: float
-    starts_tried: int
     converged: bool
 
     def to_json_dict(self) -> dict:
@@ -169,19 +168,9 @@ class BetaResult:
 TOL = 1e-10
 SWITCH_TOL = 1e-4
 MAX_NEWTON_ITER = 80
-JITTER = 1e-3  # start jitter, as a fraction of the equispaced gap
+STARTS = 8  # start rows of a multi-start solve
 GAP_MIN_FRAC = 1e-9  # smallest gap kept by the solvers, as a fraction of the period
 Q_MAX = 2000  # largest denominator solved or used in a bracket
-
-
-@dataclass(frozen=True)
-class MinimizeOptions:
-    starts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError(f"starts must be >= 1, got {self.starts}")
 
 
 def _closed(x: np.ndarray, p: int, period: float) -> np.ndarray:
@@ -387,7 +376,7 @@ def _select(sys, p, q, candidates):
     else:
         x, act, res, ok = min(candidates, key=lambda c: c[2])
     cfg = Configuration(x - math.floor(x[0] / sys.period) * sys.period, p, sys.period)
-    return BetaResult(float(act) / q, cfg, float(res), len(candidates), bool(ok))
+    return BetaResult(float(act) / q, cfg, float(res), bool(ok))
 
 
 def _solve(sys, p, q, rows, free=1.0):
@@ -402,15 +391,15 @@ def _minimize_fixed_point(sys):
     return _solve(sys, 0, 1, np.array([[x0]]))
 
 
-def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> BetaResult:
+def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:
     """Minimize the periodic action at rotation number p/q.
 
-    Multi-start: `starts` equispaced configurations, phase-shifted by
-    j*period/(q*starts), each with one small random jitter (deterministic
-    seed).  Newton with an inertia-controlled shift runs from each start
-    (_newton_phase), and _select chooses among the results.
+    Multi-start: the STARTS hull rows of the straight hull function
+    u(t) = t * period (_hull_rows), i.e. equispaced configurations
+    phase-shifted by j * period / (q * STARTS).  Newton with an
+    inertia-controlled shift runs from each start (_newton_phase), and
+    _select chooses among the results.
     """
-    opts = opts or MinimizeOptions()
     if q < 1 or p < 0:
         raise ValueError("rotation number must have q >= 1, p >= 0")
     if p == 0:
@@ -419,13 +408,7 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | 
         return _minimize_fixed_point(sys)
     if why := _inadmissible(sys, p, q):
         raise ValueError(why)
-    gap = p * sys.period / q
-    rng = np.random.default_rng(opts.seed)
-    base = np.arange(q) * gap
-    shifts = np.arange(opts.starts) * (sys.period / (q * opts.starts))
-    rows = shifts[:, None] + base[None, :]
-    rows = rows + rng.standard_normal(rows.shape) * (JITTER * gap)
-    return _solve(sys, p, q, rows)
+    return _solve(sys, p, q, _hull_rows(Configuration([0.0], 1, sys.period), p, q))
 
 
 def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> BetaResult:
@@ -445,9 +428,9 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
     return _solve(sys, p, q, start[None, :], free)
 
 
-def beta_rational(sys: TwistSystem, p: int, q: int, opts: MinimizeOptions | None = None) -> float:
+def beta_rational(sys: TwistSystem, p: int, q: int) -> float:
     g = math.gcd(p, q) or 1
-    return minimize_periodic(sys, p // g, q // g, opts).beta
+    return minimize_periodic(sys, p // g, q // g).beta
 
 
 def convergents(omega: float, q_max: int) -> list[tuple[int, int]]:
@@ -473,31 +456,32 @@ def convergents(omega: float, q_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def _hull_rows(cfg: Configuration, p: int, q: int, starts: int) -> np.ndarray:
-    """Starts at p/q resampled from the hull function of the configuration cfg.
+def _hull_rows(cfg: Configuration, p: int, q: int) -> np.ndarray:
+    """The STARTS start rows at p/q resampled from the hull function of cfg.
 
     An ordered p'/q' configuration is x_k = u(k p'/q') with u(t + 1) = u(t) +
     period.  The periodic part w(t) = u(t) - t * period, known at t = j/q'
     (j = k p' mod q', lift k p' div q'), is interpolated trigonometrically
-    onto the m = q * starts phases l/m; an even q' splits its Nyquist term
-    between +-q'/2.  Row i, point k sits at phase i/m + k p/q: the start i of
-    minimize_periodic without jitter, plus w.
+    onto the m = q * STARTS phases l/m; an even q' splits its Nyquist term
+    between +-q'/2.  Row i, point k sits at phase i/m + k p/q, plus w.  The
+    straight hull function (cfg = [0] at 1/1, w = 0) gives the equispaced
+    starts of minimize_periodic.
     """
     q0, period = cfg.q, cfg.period
     lift, j = np.divmod(np.arange(q0) * cfg.winding, q0)
     w = np.empty(q0)
     w[j] = cfg.points - (lift + j / q0) * period
-    m = q * starts
+    m = q * STARTS
     spec = np.fft.rfft(w)
     if q0 % 2 == 0 and m > q0:
         spec[-1] *= 0.5
     fine = np.fft.irfft(spec, m) * (m / q0)
-    i, k = np.arange(starts)[:, None], np.arange(q)[None, :]
-    return fine[(i + k * p * starts) % m] + i * (period / m) + k * (p * period / q)
+    i, k = np.arange(STARTS)[:, None], np.arange(q)[None, :]
+    return fine[(i + k * p * STARTS) % m] + i * (period / m) + k * (p * period / q)
 
 
-def _minimize_seeded(sys, p, q, opts, prev):
-    """minimize_periodic(sys, p, q, opts), seeded from the minimizer prev (a
+def _minimize_seeded(sys, p, q, prev):
+    """minimize_periodic(sys, p, q), seeded from the minimizer prev (a
     Configuration or None) at a nearby rotation number.
 
     The hull-function starts of prev replace the equispaced ones when every
@@ -505,9 +489,8 @@ def _minimize_seeded(sys, p, q, opts, prev):
     SWITCH_TOL.  Otherwise, or when no seeded start converges, the solve runs
     from scratch.
     """
-    opts = opts or MinimizeOptions()
     if prev is not None:
-        rows = _hull_rows(prev, p, q, opts.starts)
+        rows = _hull_rows(prev, p, q)
         gap_min = GAP_MIN_FRAC * sys.period
         gaps = _closed(rows, p, sys.period) - rows
         if gaps.min() > gap_min and gaps.max() < sys.max_gap - gap_min:
@@ -516,7 +499,7 @@ def _minimize_seeded(sys, p, q, opts, prev):
                 sol = _solve(sys, p, q, rows)
                 if sol.converged:
                     return sol
-    return minimize_periodic(sys, p, q, opts)
+    return minimize_periodic(sys, p, q)
 
 
 @dataclass(frozen=True)
@@ -528,12 +511,7 @@ class IrrationalBetaResult:
     evaluations: tuple
 
 
-def beta_irrational_result(
-    sys: TwistSystem,
-    omega: float,
-    tol: float = 1e-6,
-    opts: MinimizeOptions | None = None,
-) -> IrrationalBetaResult:
+def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) -> IrrationalBetaResult:
     """Bracket beta(omega) between convexity bounds built on convergents.
 
     The chord through the two evaluated convergents straddling omega is an
@@ -549,7 +527,7 @@ def beta_irrational_result(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     frac = Fraction(omega).limit_denominator(Q_MAX)
     if float(frac) == float(omega):
-        sol = minimize_periodic(sys, frac.numerator, frac.denominator, opts)
+        sol = minimize_periodic(sys, frac.numerator, frac.denominator)
         val = sol.beta
         return IrrationalBetaResult(val, val, val, sol.converged, ((frac.numerator, frac.denominator, val),))
 
@@ -562,7 +540,7 @@ def beta_irrational_result(
     for p, q in convergents(omega, Q_MAX):
         if _inadmissible(sys, p, q):
             continue
-        sol = _minimize_seeded(sys, p, q, opts, prev)
+        sol = _minimize_seeded(sys, p, q, prev)
         prev, b = sol.config, sol.beta
         all_converged = all_converged and sol.converged
         evals.append((p, q, b))
@@ -588,10 +566,8 @@ def beta_irrational_result(
     return IrrationalBetaResult(value, lower, upper, False, tuple(evals))
 
 
-def beta_irrational(
-    sys: TwistSystem, omega: float, tol: float = 1e-6, opts: MinimizeOptions | None = None
-) -> float:
-    return beta_irrational_result(sys, omega, tol, opts).value
+def beta_irrational(sys: TwistSystem, omega: float, tol: float = 1e-6) -> float:
+    return beta_irrational_result(sys, omega, tol).value
 
 
 def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -> float:

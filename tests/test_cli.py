@@ -203,6 +203,15 @@ class TestDeterminism:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_is_ignored(self, capsys):
+        # --seed is accepted and changes nothing: no solve draws random numbers.
+        outs = []
+        for seed in ("0", "7"):
+            code, out = run(capsys, "beta", "--domain", "gutkin:4,0.05", "--rot", "1/3,2/5", "--seed", seed)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -220,10 +229,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["beta", "--domain", "disk:1", "--rot", "1/3", "--starts", "0"], "starts must be >= 1"),
-            (["beta", "--domain", "disk:1", "--rot", "1/3", "--starts", "-2"], "starts must be >= 1"),
-            (["sweep", "--domain", "disk:1", "--qmax", "4", "--starts", "0"], "starts must be >= 1"),
-            (["toy", "--qmax", "4", "--starts", "0"], "starts must be >= 1"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--starts", "0"], "unrecognized arguments: --starts"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--starts", "-2"], "unrecognized arguments: --starts"),
+            (["sweep", "--domain", "disk:1", "--qmax", "4", "--starts", "0"], "unrecognized arguments: --starts"),
+            (["toy", "--qmax", "4", "--starts", "0"], "unrecognized arguments: --starts"),
             (["beta", "--domain", "gutkin:2.7,0.1", "--rot", "1/3"], "mode must be an integer"),
             (["beta", "--domain", "constwidth:0.05,3.5", "--rot", "1/3"], "mode must be an integer"),
             (["sweep", "--domain", "disk:1", "--qmax", "1", "--svg", "{tmp}/F.svg"], "Farey grid empty"),
@@ -239,7 +248,7 @@ class TestExitCodes:
             (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "-1"], "tol must be positive"),
             (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "nan"], "tol must be positive"),
             (["beta", "--domain", "disk:1", "--rot", "0.3162277660168379", "--tol", "inf"], "tol must be positive"),
-            (["verify", "--theorem", "radon", "--domain", "disk:1", "--starts", "0"], "starts must be >= 1"),
+            (["verify", "--theorem", "radon", "--domain", "disk:1", "--starts", "0"], "unrecognized arguments: --starts"),
             (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "0"], "tol must be positive"),
             (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "-1"], "tol must be positive"),
             (["beta", "--domain", "disk:1", "--rot", "1/3", "--tol", "-5"], "tol must be positive"),

@@ -78,6 +78,14 @@ class TestGutkinRoots:
         assert len(roots) == 1
         assert roots[0] == pytest.approx(math.atan(math.sqrt(5.0 / 3.0)) / math.pi, abs=1e-12)
 
+    def test_root_on_a_grid_point(self, monkeypatch):
+        # At n = 4, R(s) = 20 - 4 s vanishes at s = 5: a grid value of exactly
+        # 5.0 has sign 0 there, and its root is reported once, as a delta.
+        grid = rigidity._root_grid(4)
+        grid[np.searchsorted(grid, 5.0)] = 5.0
+        monkeypatch.setattr(rigidity, "_root_grid", lambda n: grid)
+        assert gutkin_roots.__wrapped__(4).roots == (math.atan(math.sqrt(5.0)) / math.pi,)
+
     @pytest.mark.parametrize("n", range(2, 25))
     def test_one_root_per_full_branch(self, n):
         # tan(n x) - n tan(x) changes sign once on each full branch of

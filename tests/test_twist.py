@@ -10,7 +10,6 @@ from billiard_beta.geometry import disk, ellipse
 from billiard_beta.models import MODEL_TAGS, make_system
 from billiard_beta.twist import (
     Configuration,
-    MinimizeOptions,
     RotationNumber,
     TwistSystem,
     _evaluate,
@@ -153,7 +152,6 @@ class TestMinimizePeriodic:
     def test_result_invariants(self):
         res = minimize_periodic(make_system(ellipse(2, 1), "birkhoff"), 1, 3)
         assert res.converged and res.grad_residual < 1e-9
-        assert res.starts_tried == 8
         assert 0.0 <= res.config.points[0] < 2 * math.pi
         payload = res.to_json_dict()
         assert set(payload) == {"beta", "points", "winding", "grad_residual", "converged"}
@@ -170,8 +168,8 @@ class TestMinimizePeriodic:
 
     def test_deterministic(self):
         sys = make_system(ellipse(2, 1), "symplectic")
-        r1 = minimize_periodic(sys, 1, 3, MinimizeOptions(seed=5))
-        r2 = minimize_periodic(sys, 1, 3, MinimizeOptions(seed=5))
+        r1 = minimize_periodic(sys, 1, 3)
+        r2 = minimize_periodic(sys, 1, 3)
         assert r1.beta == r2.beta
         assert np.array_equal(r1.config.points, r2.config.points)
 
@@ -333,8 +331,8 @@ class TestBetaIrrational:
         sol = minimize_periodic(sys, 8, 21)
         assert sol.converged and beta_irrational_result(sys, 8 / 21).converged
 
-        def unconverged(sys, p, q, opts=None):
-            return dataclasses.replace(minimize_periodic(sys, p, q, opts), converged=False)
+        def unconverged(sys, p, q):
+            return dataclasses.replace(minimize_periodic(sys, p, q), converged=False)
 
         monkeypatch.setattr(twist, "minimize_periodic", unconverged)
         res = beta_irrational_result(sys, 8 / 21)
@@ -354,8 +352,8 @@ class TestBetaIrrational:
         sys = make_system(ellipse(1.5, 0.8), "outer")
         solve = twist._minimize_seeded
 
-        def fail_at_19(sys, p, q, opts, prev):
-            res = solve(sys, p, q, opts, prev)
+        def fail_at_19(sys, p, q, prev):
+            res = solve(sys, p, q, prev)
             return dataclasses.replace(res, converged=False) if q == 19 else res
 
         assert beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6).converged
@@ -370,8 +368,8 @@ class TestBetaIrrational:
         sys = make_system(rigidity.sample_random_domains(4, 3)[3], "fourth")
         solve = twist._minimize_seeded
 
-        def lowered_at_19(sys, p, q, opts, prev):
-            res = solve(sys, p, q, opts, prev)
+        def lowered_at_19(sys, p, q, prev):
+            res = solve(sys, p, q, prev)
             return dataclasses.replace(res, beta=res.beta - 1e-5) if q == 19 else res
 
         assert beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6).converged
@@ -385,17 +383,16 @@ class TestHullSeed:
     @pytest.mark.parametrize("tag, p, q", [("outer", 6, 19), ("birkhoff", 3, 8)])
     def test_resampling_at_own_rotation_number(self, tag, p, q):
         cfg = minimize_periodic(make_system(ellipse(1.5, 0.8), tag), p, q).config
-        assert np.abs(_hull_rows(cfg, p, q, 1)[0] - cfg.points).max() < 1e-12
-        assert np.abs(_hull_rows(cfg, p, q, 8)[0] - cfg.points).max() < 1e-12
+        assert np.abs(_hull_rows(cfg, p, q)[0] - cfg.points).max() < 1e-12
 
     @pytest.mark.parametrize("family", ["ellipse", "disk"])
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_seeded_ladder_matches_scratch(self, monkeypatch, family, tag):
         scratch = []
 
-        def counted(sys, p, q, opts=None):
+        def counted(sys, p, q):
             scratch.append(q)
-            return minimize_periodic(sys, p, q, opts)
+            return minimize_periodic(sys, p, q)
 
         monkeypatch.setattr(twist, "minimize_periodic", counted)
         sys = make_system(ellipse(1.5, 0.8) if family == "ellipse" else disk(1.0), tag)
@@ -410,9 +407,9 @@ class TestHullSeed:
         scratch = []
         solve = twist.minimize_periodic
 
-        def counted(sys, p, q, opts=None):
+        def counted(sys, p, q):
             scratch.append(q)
-            return solve(sys, p, q, opts)
+            return solve(sys, p, q)
 
         monkeypatch.setattr(twist, "minimize_periodic", counted)
         sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
@@ -514,16 +511,6 @@ class TestToyModel:
                 assert gap >= -1e-10
                 gaps.append(gap)
             assert max(gaps) > 1e-6
-
-
-class TestInputValidation:
-    @pytest.mark.parametrize("field, value", [("starts", 0), ("starts", -2)])
-    def test_options_reject_bad_values(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            MinimizeOptions(**{field: value})
-
-    def test_options_accept_boundaries(self):
-        MinimizeOptions(starts=1)
 
 
 class TestRotationNumber:
