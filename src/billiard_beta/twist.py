@@ -163,10 +163,8 @@ class BetaResult:
         }
 
 
-# Solver constants.  TOL is the Newton residual target relative to
-# 1 + |A|/q; hull-function seeds are used only below a residual of SWITCH_TOL.
+# Solver constants.  TOL is the Newton residual target relative to 1 + |A|/q.
 TOL = 1e-10
-SWITCH_TOL = 1e-4
 MAX_NEWTON_ITER = 80
 STARTS = 8  # start rows of a multi-start solve
 GAP_MIN_FRAC = 1e-9  # smallest gap kept by the solvers, as a fraction of the period
@@ -230,11 +228,16 @@ def _evaluate(sys: TwistSystem, x: np.ndarray, p: int, order: int) -> list:
     return out
 
 
+def _strip(sys):
+    """Bounds (lo, hi) of the solvers' strip lo < gap < hi."""
+    lo = GAP_MIN_FRAC * sys.period
+    return lo, sys.max_gap - lo
+
+
 def _feasible_fraction(sys, x, step, p):
     """Largest t <= 1 keeping every gap of x + t * step in the solvers' strip,
     times 0.999 when below 1."""
-    lo = GAP_MIN_FRAC * sys.period
-    hi = sys.max_gap - lo
+    lo, hi = _strip(sys)
     g = _closed(x, p, sys.period) - x
     dg = _closed(step, 0, sys.period) - step
     up, dn = dg > 0, dg < 0
@@ -480,26 +483,40 @@ def _hull_rows(cfg: Configuration, p: int, q: int) -> np.ndarray:
     return fine[(i + k * p * STARTS) % m] + i * (period / m) + k * (p * period / q)
 
 
+def _ordered(rows, p, period):
+    """Whether the n start rows at p/q from _hull_rows sample a strictly
+    increasing hull function: row i, point k sits at phase i + k p n of the
+    m = q n phases, and its lift is k p div q."""
+    q = rows.shape[1]
+    lift, j = np.divmod(np.arange(q) * p, q)
+    u = (rows - lift * period).T[np.argsort(j)].ravel()
+    return bool((np.diff(u, append=u[0] + period) > 0).all())
+
+
 def _minimize_seeded(sys, p, q, prev):
     """minimize_periodic(sys, p, q), seeded from the minimizer prev (a
     Configuration or None) at a nearby rotation number.
 
-    The hull-function starts of prev replace the equispaced ones when every
-    gap lies inside the solvers' strip and every start has a residual below
-    SWITCH_TOL.  Otherwise, or when no seeded start converges, the solve runs
-    from scratch.
+    Newton runs from the hull-function rows of prev when all their gaps lie
+    inside the solvers' strip.  A converged seed whose hull is increasing (an
+    ordered guess, as Aubry-Mather minimizers are) is kept.  Newton from a
+    non-monotone hull may end in a lower or a higher basin than the
+    equispaced starts, so the solve also runs from scratch and the lower
+    converged beta is kept.
     """
+    seeded = None
     if prev is not None:
         rows = _hull_rows(prev, p, q)
-        gap_min = GAP_MIN_FRAC * sys.period
+        lo, hi = _strip(sys)
         gaps = _closed(rows, p, sys.period) - rows
-        if gaps.min() > gap_min and gaps.max() < sys.max_gap - gap_min:
-            res = np.abs(_evaluate(sys, rows, p, 1)[1]).max(axis=1)
-            if res.max() < SWITCH_TOL:
-                sol = _solve(sys, p, q, rows)
-                if sol.converged:
-                    return sol
-    return minimize_periodic(sys, p, q)
+        if lo < gaps.min() and gaps.max() < hi:
+            seeded = _solve(sys, p, q, rows)
+            if seeded.converged and _ordered(rows, p, sys.period):
+                return seeded
+    sol = minimize_periodic(sys, p, q)
+    if seeded is not None and seeded.converged and not (sol.converged and sol.beta <= seeded.beta):
+        return seeded
+    return sol
 
 
 @dataclass(frozen=True)
@@ -518,10 +535,12 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
     upper bound; the chord through the two nearest convergents on one side,
     extrapolated to omega, is a lower bound.  Convergents whose equispaced
     gap is inadmissible for the system are skipped.  Each convergent after
-    the first is seeded from the previous one's minimizer (_minimize_seeded).
-    The bracket is converged when it is narrower than tol, every convergent
-    converged and lower <= upper up to TOL * (1 + |upper|).  An omega that is
-    an exact fraction is solved as that rational and keeps its converged flag.
+    the first is solved by Newton from the previous one's minimizer, and also
+    from scratch when that seed is not ordered or does not converge
+    (_minimize_seeded).  The bracket is
+    converged when it is narrower than tol, every convergent converged and
+    lower <= upper up to TOL * (1 + |upper|).  An omega that is an exact
+    fraction is solved as that rational and keeps its converged flag.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

@@ -74,6 +74,14 @@ class TestBetaCommand:
         assert payload["beta"] == pytest.approx(-0.5, abs=1e-9)
         assert payload["converged"]
 
+    def test_squeezed_irrational_bracket_converges(self, capsys):
+        # The outer 37/117 seed from 6/19 lands 2.6e-5 above the scratch
+        # minimum; keeping it would invert this bracket and exit 3.
+        code, out = run(capsys, "beta", "--domain", "squeezed:0.1,0.3", "--rot", "0.31622776601683794")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4 and all(row.endswith(",1") for row in rows)
+
 
 class TestVerifyCommand:
     def test_t43_ellipse_equality(self, capsys):

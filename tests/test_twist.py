@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from billiard_beta import rigidity, twist
-from billiard_beta.geometry import disk, ellipse
+from billiard_beta.geometry import disk, ellipse, squeezed_disk
 from billiard_beta.models import MODEL_TAGS, make_system
 from billiard_beta.twist import (
     Configuration,
@@ -388,13 +388,7 @@ class TestHullSeed:
     @pytest.mark.parametrize("family", ["ellipse", "disk"])
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_seeded_ladder_matches_scratch(self, monkeypatch, family, tag):
-        scratch = []
-
-        def counted(sys, p, q):
-            scratch.append(q)
-            return minimize_periodic(sys, p, q)
-
-        monkeypatch.setattr(twist, "minimize_periodic", counted)
+        scratch, _ = self.count_scratch(monkeypatch)
         sys = make_system(ellipse(1.5, 0.8) if family == "ellipse" else disk(1.0), tag)
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert res.converged
@@ -403,7 +397,9 @@ class TestHullSeed:
         for p, q, b in res.evaluations:
             assert abs(b - minimize_periodic(sys, p, q).beta) <= 1e-12
 
-    def test_rejected_seed_is_scratch_solve(self, monkeypatch):
+    @staticmethod
+    def count_scratch(monkeypatch):
+        """Record the q of every from-scratch solve; returns (record, scratch solve)."""
         scratch = []
         solve = twist.minimize_periodic
 
@@ -412,10 +408,101 @@ class TestHullSeed:
             return solve(sys, p, q)
 
         monkeypatch.setattr(twist, "minimize_periodic", counted)
+        return scratch, solve
+
+    def test_rejected_seed_is_scratch_solve(self, monkeypatch):
+        # Seed rows with a gap at max_gap leave the solvers' strip: every
+        # convergent is solved from scratch and Newton never sees those rows.
         sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
+        hull_rows, solve_rows = twist._hull_rows, twist._solve
+        seeded = []
+
+        def off_strip(cfg, p, q):
+            rows = hull_rows(cfg, p, q)
+            if cfg.q > 1:
+                rows[0, 1] = rows[0, 0] + sys.max_gap
+                seeded.append(rows)
+            return rows
+
+        def solve_in_strip(sys, p, q, rows, free=1.0):
+            assert not any(rows is bad for bad in seeded)
+            return solve_rows(sys, p, q, rows, free)
+
+        monkeypatch.setattr(twist, "_hull_rows", off_strip)
+        monkeypatch.setattr(twist, "_solve", solve_in_strip)
+        scratch, solve = self.count_scratch(monkeypatch)
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert len(seeded) == len(res.evaluations) - 1
         assert scratch == [q for _, q, _ in res.evaluations]
         assert [b for _, _, b in res.evaluations] == [solve(sys, p, q).beta for p, q, _ in res.evaluations]
+
+    def test_unconverged_seed_is_scratch_solve(self, monkeypatch):
+        # A seed from which no row converges falls back to the scratch solve.
+        solve_rows = twist._solve
+        seeded = []
+
+        def seed_fails(sys, p, q, rows, free=1.0):
+            sol = solve_rows(sys, p, q, rows, free)
+            if np.array_equal(rows, _hull_rows(Configuration([0.0], 1, sys.period), p, q)):
+                return sol
+            seeded.append(q)
+            return dataclasses.replace(sol, converged=False)
+
+        monkeypatch.setattr(twist, "_solve", seed_fails)
+        scratch, solve = self.count_scratch(monkeypatch)
+        sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert res.converged
+        assert seeded == [q for _, q, _ in res.evaluations[1:]]
+        assert scratch == [q for _, q, _ in res.evaluations]
+        assert [b for _, _, b in res.evaluations] == [solve(sys, p, q).beta for p, q, _ in res.evaluations]
+
+    def test_converged_seed_is_kept(self, monkeypatch):
+        # Every seed of this bracket is ordered, so only q = 3 is a scratch solve.
+        scratch, solve = self.count_scratch(monkeypatch)
+        sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert res.converged
+        assert scratch == [3]
+        for p, q, b in res.evaluations:
+            assert b <= solve(sys, p, q).beta + 1e-12
+
+    def test_continuation_closes_birkhoff_bracket(self, monkeypatch):
+        # The 8 equispaced starts at 12/29 end 7.1e-4 above the minimum that a
+        # min-plus DP over a lifted grid finds; the hull seed from the 5/12
+        # minimizer reaches it, and the bracket closes.  That seed's hull is
+        # not monotone, so the scratch solve runs too and loses.
+        scratch, solve = self.count_scratch(monkeypatch)
+        sys = make_system(rigidity.sample_random_domains(8, 5)[1], "birkhoff")
+        res = beta_irrational_result(sys, math.sqrt(2) - 1, 1e-6)
+        assert res.converged
+        assert res.lower <= res.upper + twist.TOL * (1.0 + abs(res.upper))
+        assert res.upper - res.lower < 1e-6
+        beta = {(p, q): b for p, q, b in res.evaluations}
+        assert beta[12, 29] == pytest.approx(-1.9526602687, abs=1e-9)
+        assert 29 in scratch and beta[12, 29] < solve(sys, 12, 29).beta - 1e-4
+
+    def test_unordered_seed_keeps_scratch_basin(self, monkeypatch):
+        # On squeezed(0.1, 0.3) the 6/19 outer minimizer's hull, resampled at
+        # 37/117, is not monotone; Newton from it converges 2.6e-5 above the
+        # equispaced starts, which would invert the 1/sqrt(10) bracket.  The
+        # scratch solve runs too and its lower beta is kept.
+        scratch, solve = self.count_scratch(monkeypatch)
+        sys = make_system(squeezed_disk(0.1, 0.3), "outer")
+        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+        assert res.converged
+        assert res.lower <= res.upper + twist.TOL * (1.0 + abs(res.upper))
+        assert scratch == [3, 117]
+        assert res.evaluations[-1] == (37, 117, solve(sys, 37, 117).beta)
+
+    def test_ordered_rows(self):
+        # Row i, point 0 sits at phase i of the q * STARTS phases; moving row
+        # 1 past row 2 leaves each row ordered but the hull non-monotone.
+        rows = _hull_rows(Configuration([0.0], 1, 1.0), 2, 5)
+        assert twist._ordered(rows, 2, 1.0)
+        rows[1, 0] = rows[2, 0] + 1e-9
+        assert twist._ordered(rows[1:2], 2, 1.0) and twist._ordered(rows[2:3], 2, 1.0)
+        assert not twist._ordered(rows, 2, 1.0)
 
 
 class TestEquispacedAverage:
