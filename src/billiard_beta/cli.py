@@ -48,13 +48,18 @@ def parse_domain(spec: str) -> SupportDomain:
         raise ValueError(f"domain spec needs 'family:params' or a .json path: {spec!r}")
     family, _, params = spec.partition(":")
     family = {"constwidth": "constant_width", "squeezed": "squeezed_disk"}.get(family, family)
-    values = [float(v) for v in params.split(",") if v]
+    try:
+        values = [float(v) for v in params.split(",")]
+    except ValueError:
+        raise ValueError(f"domain parameters must be numbers: {spec!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"domain parameters must be finite: {spec!r}")
     if family == "gutkin":
         if len(values) != 2:
             raise ValueError("gutkin domain needs two parameters: gutkin:n,eps")
         return geometry.gutkin(_mode(values[0], spec), values[1])
     if family == "constant_width":
-        if not values:
+        if len(values) > 2:
             raise ValueError("constant width domain needs constwidth:eps[,n]")
         return geometry.constant_width(values[0], _mode(values[1], spec) if len(values) > 1 else 3)
     return geometry.make_named(family, *values)
@@ -355,6 +360,10 @@ def main(argv=None) -> int:
     try:
         if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {args.tol!r}")
+        for name in ("num_tol", "eq_tol"):
+            value = getattr(args, name, 0.0)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value!r}")
         return args.func(args)
     except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

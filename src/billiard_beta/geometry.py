@@ -42,10 +42,10 @@ def _readonly(values) -> np.ndarray:
 class SupportDomain:
     """Convex domain given by a truncated Fourier support function.
 
-    Construction validates, on a uniform grid of max(1024, 16 N) angles, that
-    h > 0 (origin inside) and h + h'' > 0 (strict convexity); invalid
-    coefficients raise ValueError("nonconvex parameters").  Instances are
-    immutable and safe to share across threads.
+    Construction checks that every coefficient is finite, then validates, on
+    a uniform grid of max(1024, 16 N) angles, that h > 0 (origin inside) and
+    h + h'' > 0 (strict convexity); invalid coefficients raise ValueError.
+    Instances are immutable and safe to share across threads.
     """
 
     a0: float
@@ -57,11 +57,14 @@ class SupportDomain:
         bn = _readonly(self.bn)
         if an.size != bn.size:
             raise ValueError("an and bn must have equal length")
-        object.__setattr__(self, "a0", float(self.a0))
+        a0 = float(self.a0)
+        if not (math.isfinite(a0) and np.isfinite(an).all() and np.isfinite(bn).all()):
+            raise ValueError("support coefficients a0, an, bn must be finite")
+        object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "an", an)
         object.__setattr__(self, "bn", bn)
         h, _, hpp = support_jet(self, self.grid(), 2)
-        if h.min() <= 0.0 or (h + hpp).min() <= 0.0:
+        if not (h.min() > 0.0 and (h + hpp).min() > 0.0):
             raise ValueError("nonconvex parameters")
 
     @property

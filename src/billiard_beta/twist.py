@@ -106,9 +106,13 @@ class RotationNumber:
     def parse(cls, text: str, tol: float = 1e-6) -> "RotationNumber":
         text = text.strip()
         if "/" in text:
-            p_str, q_str = text.split("/", 1)
-            return cls.rational(int(p_str), int(q_str))
+            p, q = (int(part) for part in text.split("/", 1))
+            if q == 0:
+                raise ValueError(f"rotation number {text!r} has a zero denominator")
+            return cls.rational(p, q)
         value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"rotation number {text!r} is not finite")
         frac = Fraction(value).limit_denominator(10**6)
         if float(frac) == value:
             return cls.rational(frac.numerator, frac.denominator)
@@ -183,6 +187,8 @@ def _roll(a: np.ndarray, shift: int) -> np.ndarray:
 
 def _inadmissible(sys: TwistSystem, p: int, q: int) -> str:
     """Why the rational rotation number p/q cannot be solved on sys; '' if it can."""
+    if q < 2 or p < 1:
+        return f"rotation number {p}/{q} needs q >= 2 and p >= 1"
     if q > Q_MAX:
         return f"rotation number {p}/{q} has q = {q} > q_max = {Q_MAX}"
     if not 0.0 < p * sys.period / q < sys.max_gap:
@@ -194,8 +200,6 @@ def _inadmissible(sys: TwistSystem, p: int, q: int) -> str:
 
 
 def _require_gaps(sys: TwistSystem, cfg: Configuration) -> None:
-    if cfg.q == 1 and cfg.winding == 0:
-        return
     gaps = cfg.gaps()
     if gaps.min() <= 0.0 or gaps.max() >= sys.max_gap:
         raise ValueError("gap violation")
@@ -216,8 +220,7 @@ def _evaluate(sys: TwistSystem, x: np.ndarray, p: int, order: int) -> list:
 
     Returns [A] for order 0, [A, grad] for order 1 and [A, grad, diag, e] for
     order 2, where diag and e are the diagonal and the cyclic off-diagonal
-    (e[k] couples x_k and x_{k+1}) of the action Hessian.  For q = 1 the
-    single edge couples x to itself, so diag + 2 e[0] is the whole Hessian.
+    (e[k] couples x_k and x_{k+1}) of the action Hessian.
     """
     jet = sys.cyclic_jet(x, p, order)
     out = [np.sum(jet[0], axis=-1)]
@@ -250,12 +253,11 @@ def _solve_cyclic(diag, e, rhs):
     """Solve the symmetric cyclic tridiagonal system in O(q) by a bordered LDL^T.
 
     Off-diagonal couplings e[k] join unknowns k and k+1; e[-1] is the corner
-    coupling (q-1, 0).  For q = 2 both couplings join the same pair, and for
-    q = 1 the one coupling joins unknown 0 to itself on both sides.  The
-    leading (q-1)x(q-1) tridiagonal block T is factored by the pivots
-    d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the corner
-    coupling at row 0 and e[q-2] at row q-2.  The last pivot is the Schur
-    complement s = a_{q-1} - v^T T^{-1} v.
+    coupling (q-1, 0); q >= 2, and for q = 2 both couplings join the same
+    pair.  The leading (q-1)x(q-1) tridiagonal block T is factored by the
+    pivots d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the
+    corner coupling at row 0 and e[q-2] at row q-2.  The last pivot is the
+    Schur complement s = a_{q-1} - v^T T^{-1} v.
 
     Returns x, or None unless every pivot is positive and x is finite.  By
     Sylvester's law of inertia the pivots are all positive exactly when the
@@ -263,12 +265,6 @@ def _solve_cyclic(diag, e, rhs):
     """
     a, c, b = diag.tolist(), e.tolist(), rhs.tolist()
     n = len(a) - 1
-    if n == 0:
-        s = a[0] + 2.0 * c[0]
-        if not s > 0.0:
-            return None
-        x = np.array([b[0] / s])
-        return x if np.isfinite(x).all() else None
     # forward pass over T: pivots d, g = L^{-1} b and w = L^{-1} v
     dk, gk, wk = a[0], b[0], c[-1]
     d, g, w = [dk], [gk], [wk]
@@ -387,13 +383,6 @@ def _solve(sys, p, q, rows, free=1.0):
     return _select(sys, p, q, [_newton_phase(sys, row, p, free) for row in rows])
 
 
-def _minimize_fixed_point(sys):
-    """q = 1, winding 0: minimize S(x, x) over one period from a grid seed."""
-    grid = np.linspace(0.0, sys.period, 512, endpoint=False)
-    x0 = grid[np.argmin(sys.jet(grid, grid, 0)[0])]
-    return _solve(sys, 0, 1, np.array([[x0]]))
-
-
 def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:
     """Minimize the periodic action at rotation number p/q.
 
@@ -403,12 +392,6 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:
     inertia-controlled shift runs from each start (_newton_phase), and
     _select chooses among the results.
     """
-    if q < 1 or p < 0:
-        raise ValueError("rotation number must have q >= 1, p >= 0")
-    if p == 0:
-        if q != 1:
-            raise ValueError("winding 0 requires q = 1")
-        return _minimize_fixed_point(sys)
     if why := _inadmissible(sys, p, q):
         raise ValueError(why)
     return _solve(sys, p, q, _hull_rows(Configuration([0.0], 1, sys.period), p, q))
@@ -421,8 +404,6 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
     action is independent of x0, every phase carries a minimal orbit.  Like
     every solve, the result is reported with x_0 in [0, period).
     """
-    if q < 2:
-        raise ValueError("fixed-start minimization needs q >= 2")
     if why := _inadmissible(sys, p, q):
         raise ValueError(why)
     free = np.ones(q)
@@ -432,7 +413,7 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int) -> float:
-    g = math.gcd(p, q) or 1
+    g = math.gcd(p, q)
     return minimize_periodic(sys, p // g, q // g).beta
 
 
@@ -597,7 +578,7 @@ def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -
     """
     frac = Fraction(omega).limit_denominator(4096)
     gap = omega * sys.period
-    if float(frac) == float(omega) and frac.denominator <= 4096:
+    if float(frac) == float(omega):
         q = frac.denominator
         x = x0 + np.arange(q) * gap
         return float(np.mean(sys.jet(x, x + gap, 0)[0]))

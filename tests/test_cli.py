@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,8 +7,10 @@ import sys
 
 import pytest
 
+from billiard_beta import cli
 from billiard_beta.cli import main, parse_domain, parse_rotations
 from billiard_beta.geometry import save_domain, squeezed_disk
+from billiard_beta.rigidity import verify_main_inequality
 
 
 def run(capsys, *argv):
@@ -132,6 +135,24 @@ class TestVerifyCommand:
     def test_constwidth(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "constwidth", "--domain", "constwidth:0.05,3")
         assert code == 0
+
+    def test_p69_disk_equality(self, capsys):
+        code, out = run(capsys, "verify", "--theorem", "P6.9", "--domain", "disk:1")
+        assert code == 0
+        payload = json.loads(out.strip())
+        assert payload["theorem"] == "P6.9" and payload["equality"] and payload["converged"]
+        assert payload["beta_outer"] == pytest.approx(1.0, abs=1e-9)
+        assert payload["beta_symplectic"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_unconverged_report_exits_3(self, capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(verify_main_inequality(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(cli, "verify_main_inequality", unconverged)
+        code, out = run(capsys, "verify", "--theorem", "T4.3", "--domain", "ellipse:2,1")
+        assert code == 3
+        payload = json.loads(out.strip())
+        assert payload["holds"] and not payload["converged"]
 
     def test_radon_violation_exit(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "radon", "--domain", "gutkin:3,0.05")
@@ -261,6 +282,24 @@ class TestExitCodes:
             (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--tol", "-1"], "tol must be positive"),
             (["beta", "--domain", "disk:1", "--rot", "1/3", "--tol", "-5"], "tol must be positive"),
             (["sweep", "--domain", "disk:1", "--qmax", "3", "--tol", "1e-6"], "unrecognized arguments: --tol"),
+            (["beta", "--domain", "disk:nan", "--rot", "1/3"], "domain parameters must be finite: 'disk:nan'"),
+            (["beta", "--domain", "disk:inf", "--rot", "1/3"], "domain parameters must be finite: 'disk:inf'"),
+            (["beta", "--domain", "ellipse:nan,1", "--rot", "1/3"], "domain parameters must be finite"),
+            (["beta", "--domain", "gutkin:4,nan", "--rot", "1/3"], "domain parameters must be finite"),
+            (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--gutkin-eps", "nan"],
+             "support coefficients a0, an, bn must be finite"),
+            (["verify", "--theorem", "T4.2", "--domain", "disk:nan"], "domain parameters must be finite"),
+            (["verify", "--theorem", "radon", "--domain", "disk:nan"], "domain parameters must be finite"),
+            (["beta", "--domain", "disk:1", "--rot", "inf"], "rotation number 'inf' is not finite"),
+            (["beta", "--domain", "disk:1", "--rot", "1/0"], "rotation number '1/0' has a zero denominator"),
+            (["verify", "--theorem", "T4.2", "--domain", "ellipse:2,1", "--num-tol", "nan"],
+             "--num-tol must be finite and >= 0"),
+            (["verify", "--theorem", "T4.2", "--domain", "ellipse:2,1", "--num-tol", "-1"],
+             "--num-tol must be finite and >= 0"),
+            (["verify", "--theorem", "radon", "--domain", "ellipse:2,1", "--eq-tol", "nan"],
+             "--eq-tol must be finite and >= 0"),
+            (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--eq-tol", "inf"],
+             "--eq-tol must be finite and >= 0"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

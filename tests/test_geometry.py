@@ -253,3 +253,11 @@ class TestSerialization:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError, match="nonconvex"):
             SupportDomain.from_json_dict({"a0": 1.0, "modes": [[0.0, 0.0], [0.9, 0.0]]})
+
+    @pytest.mark.parametrize(
+        "a0, an, bn",
+        [(math.nan, [], []), (math.inf, [], []), (1.0, [0.0, math.nan], [0.0, 0.0]), (1.0, [0.0], [-math.inf])],
+    )
+    def test_non_finite_rejected(self, a0, an, bn):
+        with pytest.raises(ValueError, match="a0, an, bn must be finite"):
+            SupportDomain(a0, an, bn)

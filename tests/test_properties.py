@@ -1,4 +1,7 @@
-"""Hypothesis property tests of beta."""
+"""Hypothesis property tests of beta and of the CLI's input checks."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billiard_beta import rigidity
+from billiard_beta.cli import main
 from billiard_beta.geometry import AffineMap, affine_image, scaled
 from billiard_beta.models import MODEL_TAGS, make_system
 from billiard_beta.twist import beta_rational
@@ -53,3 +57,49 @@ def test_area_models_affine_equivariance(seed):
         for rho in RHOS:
             beta = beta_rational(make_system(dom, tag), *rho)
             assert beta_rational(make_system(image, tag), *rho) == pytest.approx(SHEAR.det * beta, rel=1e-9, abs=1e-12)
+
+
+# A valid parameter list per CLI domain family; disk, ellipse and gutkin take
+# exactly that many parameters, constwidth and squeezed one or two.
+VALID_PARAMS = {
+    "disk": ["1"],
+    "ellipse": ["2", "1"],
+    "gutkin": ["4", "0.05"],
+    "constwidth": ["0.05", "3"],
+    "squeezed": ["0.1", "0.3"],
+}
+WRONG_COUNTS = {"disk": [0, 2, 3], "ellipse": [0, 1, 3], "gutkin": [0, 1, 3], "constwidth": [0, 3], "squeezed": [0, 3]}
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+# No digits and none of the letters of nan or inf, so no token parses as a number.
+NON_NUMBER = st.text(alphabet="bcxyz_+-.eE ", min_size=1, max_size=4)
+
+
+@st.composite
+def malformed_domain(draw):
+    family = draw(st.sampled_from(sorted(VALID_PARAMS)))
+    params = list(VALID_PARAMS[family])
+    if draw(st.booleans()):
+        params = (params * 3)[: draw(st.sampled_from(WRONG_COUNTS[family]))]
+    else:
+        params[draw(st.integers(0, len(params) - 1))] = draw(NON_FINITE | NON_NUMBER)
+    return f"{family}:{','.join(params)}"
+
+
+MALFORMED_ROT = NON_FINITE | NON_NUMBER | st.integers(-3, 3).map(lambda p: f"{p}/0")
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    case=st.one_of(
+        malformed_domain().map(lambda dom: (dom, "1/3")),
+        MALFORMED_ROT.map(lambda rot: ("disk:1", f"1/3,{rot}")),
+    )
+)
+def test_malformed_spec_fails_fast(case):
+    domain, rot = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["beta", "--domain", domain, "--rot", rot])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")

@@ -22,7 +22,7 @@ from billiard_beta.rigidity import (
     triangle_midpoint_property,
     verify_main_inequality,
 )
-from billiard_beta.twist import RotationNumber, beta_rational
+from billiard_beta.twist import RotationNumber, beta_irrational_result, beta_rational
 
 SQ3 = math.sqrt(3.0)
 
@@ -43,6 +43,16 @@ class TestMainInequalities:
         for theorem in ("T4.2", "T4.4"):
             rep = verify_main_inequality(ellipse(2, 1), theorem, rho(1, 3))
             assert rep.holds and not rep.equality and rep.gap > 1e-3
+
+    def test_irrational_rotation_uses_bracket(self):
+        # An irrational rho is bracketed; lhs is the bracket value and the
+        # residual its width.
+        omega = 1 / math.sqrt(10)
+        rep = verify_main_inequality(ellipse(2, 1), "T4.3", RotationNumber.irrational(omega, 1e-6))
+        assert rep.converged and rep.holds and rep.equality
+        ir = beta_irrational_result(make_system(ellipse(2, 1), "symplectic"), omega, 1e-6)
+        assert rep.lhs == ir.value
+        assert rep.meta["residual"] == ir.upper - ir.lower
 
     def test_gutkin_strict(self):
         rep = verify_main_inequality(gutkin(4, 0.05), "T4.2", rho(1, 3))

@@ -166,6 +166,34 @@ class TestMinimizePeriodic:
         with pytest.raises(ValueError, match="q_max"):
             minimize_periodic(sys, 1, 2001)
 
+    def test_rejects_q_below_two(self):
+        # Every solve needs p/q with q >= 2 and p >= 1; q = 1 is never solved.
+        toy = toy_system(0.01)
+        for p, q in [(0, 1), (1, 1), (0, 3), (-1, 3)]:
+            with pytest.raises(ValueError, match="q >= 2"):
+                minimize_periodic(toy, p, q)
+        with pytest.raises(ValueError, match="q >= 2"):
+            minimize_with_fixed_start(toy, 1, 1, 0.0)
+        with pytest.raises(ValueError, match="q >= 2"):
+            beta_rational(toy, 0, 4)
+
+    def test_no_converged_start_reports_lowest_residual(self, monkeypatch):
+        # Every start stops unconverged where it began; start 1 has the lowest residual.
+        sys = make_system(ellipse(2, 1), "birkhoff")
+        residuals = iter([3e-3, 1e-4, 5e-2, 2e-4, 7e-3, 4e-4, 9e-4, 6e-3])
+
+        def unconverged(sys, x, p, free=1.0):
+            res = next(residuals)
+            return x, float(_evaluate(sys, x, p, 0)[0]), res, False
+
+        monkeypatch.setattr(twist, "_newton_phase", unconverged)
+        res = minimize_periodic(sys, 1, 3)
+        assert not res.converged
+        assert res.grad_residual == 1e-4
+        row = _hull_rows(Configuration([0.0], 1, 2 * math.pi), 1, 3)[1]
+        assert np.array_equal(res.config.points, row)
+        assert res.beta == float(_evaluate(sys, row, 1, 0)[0]) / 3
+
     def test_deterministic(self):
         sys = make_system(ellipse(2, 1), "symplectic")
         r1 = minimize_periodic(sys, 1, 3)
@@ -230,23 +258,23 @@ class TestSolveCyclic:
             out[(k + 1) % q, k] += e[k]
         return out
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 9, 117, 721])
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 117, 721])
     def test_matches_dense_solve(self, q):
         diag, e, rhs = self.system(q)
         want = np.linalg.solve(self.dense(diag, e), rhs)
         assert np.abs(_solve_cyclic(diag, e, rhs) - want).max() < 1e-12
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 9, 117])
+    @pytest.mark.parametrize("q", [2, 3, 9, 117])
     def test_smallest_pivot_gives_inertia(self, q):
         # Diagonal shifts that leave the spectrum half a unit above zero, put
-        # every eigenvalue below zero or, for q >= 2, only the lowest one; plus
-        # a diagonal of random sign.
+        # every eigenvalue below zero or only the lowest one; plus a diagonal
+        # of random sign.
         diag, e, rhs = self.system(q)
         lam = np.linalg.eigvalsh(self.dense(diag, e))
-        shifts = [lam[0] - 0.5, lam[-1] + 0.5] + ([0.5 * (lam[0] + lam[1])] if q >= 2 else [])
+        shifts = [lam[0] - 0.5, lam[-1] + 0.5, 0.5 * (lam[0] + lam[1])]
         cases = [diag - c for c in shifts] + [np.random.default_rng(q).uniform(-2.0, 2.0, q)]
         definite = [np.linalg.eigvalsh(self.dense(d, e)).min() > 0.0 for d in cases]
-        assert definite[: len(shifts)] == [True, False, False][: len(shifts)]
+        assert definite[:3] == [True, False, False]
         for d, want in zip(cases, definite):
             assert (_solve_cyclic(d, e, rhs) is not None) == want
 
@@ -258,10 +286,15 @@ class TestSolveCyclic:
         e[pinned] = e[pinned - 1] = 0.0
         assert _solve_cyclic(diag, e, rhs)[pinned] == rhs[pinned]
 
-    # a zero Schur complement at q = 1 and q = 2; a zero pivot d_1 inside the forward pass at q = 4
+    # a zero Schur complement at q = 2 and (exactly, rows 0 and 2 equal) at
+    # q = 3; a zero pivot d_1 inside the forward pass at q = 4
     @pytest.mark.parametrize(
         "diag, e",
-        [([-1.0], [0.5]), ([1.0, 1.0], [0.5, 0.5]), ([1.0, 0.25, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5])],
+        [
+            ([1.0, 1.0], [0.5, 0.5]),
+            ([1.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+            ([1.0, 0.25, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5]),
+        ],
     )
     def test_singular_returns_none(self, diag, e):
         assert _solve_cyclic(np.array(diag), np.array(e), np.ones(len(diag))) is None
@@ -338,6 +371,24 @@ class TestBetaIrrational:
         res = beta_irrational_result(sys, 8 / 21)
         assert not res.converged
         assert res.value == res.lower == res.upper == sol.beta
+
+    def test_unclosed_bracket_is_unconverged(self):
+        # 1/3 + 1e-11 has the convergents 1/2 and 1/3 below q = 2000; with one
+        # convergent on each side there is an upper chord but no lower bound.
+        sys = make_system(disk(1.0), "birkhoff")
+        res = beta_irrational_result(sys, 1 / 3 + 1e-11, 1e-6)
+        assert [(p, q) for p, q, _ in res.evaluations] == [(1, 2), (1, 3)]
+        assert res.lower == -math.inf
+        assert res.value == res.upper
+        assert not res.converged
+
+    def test_inadmissible_convergent_is_skipped(self):
+        # The convergent 1/2 of (3 - sqrt 5)/2 lies at outer's gap limit.
+        sys = make_system(ellipse(2, 1), "outer")
+        res = beta_irrational_result(sys, (3 - math.sqrt(5)) / 2, 1e-6)
+        qs = [q for _, q, _ in res.evaluations]
+        assert 2 not in qs and qs[:2] == [3, 5]
+        assert res.converged and res.upper - res.lower < 1e-6
 
     def test_convergents_of_pi(self):
         assert convergents(math.pi, 200)[:3] == [(3, 1), (22, 7), (333, 106)]
@@ -566,12 +617,6 @@ class TestToyModel:
     def test_perturbed_below_free(self):
         sys = toy_system(0.05 / (2 * math.pi))
         assert beta_rational(sys, 1, 3) < 1 / 18
-
-    def test_fixed_point_beta(self):
-        sys = toy_system(0.05 / (2 * math.pi))
-        res = minimize_periodic(sys, 0, 1)
-        assert res.converged
-        assert res.beta == pytest.approx(-0.05 / (2 * math.pi), abs=1e-10)
 
     def test_gap_vanishes_with_potential(self):
         grid = farey_fractions(6)
