@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .models import (
     MODEL_TAGS,
-    ChordState,
     beta_disk,
     config_vertices,
     forward_map,

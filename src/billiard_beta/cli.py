@@ -71,8 +71,16 @@ def _mode(value: float, spec: str) -> int:
     return int(value)
 
 
+def _fields(flag: str, text: str) -> list[str]:
+    """Comma-separated fields of an option value; an empty field is a usage error."""
+    parts = text.split(",")
+    if any(not part.strip() for part in parts):
+        raise ValueError(f"{flag} has an empty comma field: {text!r}")
+    return parts
+
+
 def parse_rotations(text: str, tol: float) -> list[RotationNumber]:
-    rotations = [RotationNumber.parse(part, tol) for part in text.split(",") if part]
+    rotations = [RotationNumber.parse(part, tol) for part in _fields("--rot", text)]
     for rho in rotations:
         if not 0.0 < rho.value <= 0.5:
             raise ValueError(f"rotation number must lie in (0, 1/2]: {rho}")
@@ -151,14 +159,14 @@ def _verify_reports(args, dom) -> list:
     kw = dict(num_tol=args.num_tol, eq_tol=args.eq_tol)
     theorem = args.theorem
     if theorem in ("T4.2", "T4.3", "T4.4"):
-        rotations = parse_rotations(args.rot or "1/3", args.tol)
+        rotations = parse_rotations("1/3" if args.rot is None else args.rot, args.tol)
         return [verify_main_inequality(dom, theorem, rho, **kw) for rho in rotations]
     if theorem == "C6.3":
         return [outer_third_relation(dom, **kw)]
     if theorem == "P6.9":
         return [outer_quarter_relation(dom, **kw)]
     if theorem == "CE6.5":
-        rotations = parse_rotations(args.rot or "1/4", args.tol)
+        rotations = parse_rotations("1/4" if args.rot is None else args.rot, args.tol)
         if any(not r.is_rational for r in rotations):
             raise ValueError("CE6.5 is stated for the rationals 1/3 and 1/4")
         return [outer_counterexample(dom, Fraction(r.p, r.q), **kw) for r in rotations]
@@ -280,8 +288,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_toy(args) -> int:
     grid = _farey_grid(args.qmax, include_half=True)
-    cos_coeffs = [float(v) for v in args.vcos.split(",") if v] if args.vcos else []
-    sin_coeffs = [float(v) for v in args.vsin.split(",") if v] if args.vsin else []
+    cos_coeffs = [float(v) for v in _fields("--vcos", args.vcos)] if args.vcos else []
+    sin_coeffs = [float(v) for v in _fields("--vsin", args.vsin)] if args.vsin else []
     sys = twist.make_toy_system(cos_coeffs, sin_coeffs)
     lines = ["rho,beta_V,beta_0,gap"]
     worst = 0.0

@@ -135,20 +135,19 @@ class AffineMap:
         return cls(np.array([[sx, 0.0], [0.0, sy]]))
 
 
-def _support_rows(dom: SupportDomain, phi, orders: range) -> np.ndarray:
-    """Rows h^(k)(phi) for k in orders, shape (len(orders), *phi.shape).
+def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.ndarray:
+    """h, h', ..., h^(order) at the angles phi, shape (order + 1, *phi.shape).
 
     With c_n = a_n - i b_n, h^(k) = a0 [k = 0] + Re sum_n c_n (i n)^k e^{i n phi}.
     One table of e^{i n phi}, n = 1..N, serves every order through a single
     complex matmul.  The table is built in place from e^{i phi} (phi reduced
     mod 2 pi) by repeated products: rows n+1..n+m are rows 1..m times row n.
     """
-    if orders.start < 0 or orders.stop > MAX_SUPPORT_ORDER + 1:
+    if not 0 <= order <= MAX_SUPPORT_ORDER:
         raise ValueError(f"support derivative order must lie in 0..{MAX_SUPPORT_ORDER}")
     phi_arr = np.asarray(phi, dtype=float)
-    out = np.zeros((len(orders), phi_arr.size))
-    if orders.start == 0:
-        out[0] = dom.a0
+    out = np.zeros((order + 1, phi_arr.size))
+    out[0] = dom.a0
     n_modes = dom.n_modes
     if n_modes:
         table = np.empty((n_modes, phi_arr.size), dtype=complex)
@@ -158,21 +157,13 @@ def _support_rows(dom: SupportDomain, phi, orders: range) -> np.ndarray:
             m = min(done, n_modes - done)
             np.multiply(table[:m], table[done - 1], out=table[done : done + m])
             done += m
-        out += (dom._jet_coefficients[orders.start : orders.stop] @ table).real
-    return out.reshape(len(orders), *phi_arr.shape)
-
-
-def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.ndarray:
-    """h, h', ..., h^(order) at the angles phi, shape (order + 1, *phi.shape)."""
-    return _support_rows(dom, phi, range(order + 1))
+        out += (dom._jet_coefficients[: order + 1] @ table).real
+    return out.reshape(order + 1, *phi_arr.shape)
 
 
 def eval_support(dom: SupportDomain, phi, order: int = 0):
-    """Evaluate h or one derivative, up to MAX_SUPPORT_ORDER, from the Fourier sum.
-
-    Several orders at once come from `support_jet`, which shares one table.
-    """
-    out = _support_rows(dom, phi, range(order, order + 1))[0]
+    """Evaluate h or one derivative, up to MAX_SUPPORT_ORDER: row `order` of `support_jet`."""
+    out = support_jet(dom, phi, order)[order]
     return float(out) if out.ndim == 0 else out
 
 

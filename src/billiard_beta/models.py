@@ -241,55 +241,35 @@ def config_vertices(dom: SupportDomain, tag: str, cfg: Configuration) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordState:
-    """Birkhoff state: boundary support angle and incidence angle in (0, pi)."""
-
-    phi: float
-    alpha: float
-
-
-def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
-    c, s = math.cos(phi), math.sin(phi)
-    tangent = np.array([-s, c])
-    normal = np.array([c, s])
-    d = math.cos(alpha) * tangent - math.sin(alpha) * normal
-    p0 = boundary_xy(dom, phi)
+def _chord_exit(dom: SupportDomain, p0: np.ndarray, d: np.ndarray, lo: float, hi: float) -> float:
+    """Root in (lo, hi) of d x (gamma(psi) - p0): where the line through p0 along d
+    meets the boundary.
+    """
 
     def f(psi):
         g = boundary_xy(dom, psi)
         return d[0] * (g[1] - p0[1]) - d[1] * (g[0] - p0[0])
 
-    lo, hi = phi + 1e-9, phi + TWO_PI - 1e-9
     flo = f(lo)
     if (flo > 0) == (f(hi) > 0):
         raise RuntimeError("geometry error")
-    psi = bisect(f, lo, hi, flo)
-    t1 = np.array([-math.sin(psi), math.cos(psi)])
-    n1 = np.array([math.cos(psi), math.sin(psi)])
-    alpha1 = math.atan2(float(d @ n1), float(d @ t1))
-    return psi, alpha1
+    return bisect(f, lo, hi, flo)
+
+
+def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
+    # the chord runs along the tangent of support angle beta = phi + alpha, so it
+    # meets the tangent at its exit psi at the angle psi - beta
+    beta = phi + alpha
+    d = np.array([-math.sin(beta), math.cos(beta)])
+    psi = _chord_exit(dom, boundary_xy(dom, phi), d, phi + 1e-9, phi + TWO_PI - 1e-9)
+    return psi, psi - beta
 
 
 def _symplectic_step(dom: SupportDomain, t0: float, t1: float):
+    # gamma(t1) and gamma(t1 + pi) are the extreme points along n(t1), so for
+    # 0 < t1 - t0 < pi the bracket changes sign and excludes the root t0 + 2 pi
     tangent = np.array([-math.sin(t1), math.cos(t1)])
-    p0 = boundary_xy(dom, t0)
-
-    def f(psi):
-        g = boundary_xy(dom, psi)
-        return tangent[0] * (g[1] - p0[1]) - tangent[1] * (g[0] - p0[0])
-
-    lo, hi = t1 + 1e-9, t1 + math.pi - 1e-9
-    flo = f(lo)
-    if (flo > 0) == (f(hi) > 0):
-        # defensive scan; strict convexity should put the root inside
-        grid = np.linspace(lo, t0 + TWO_PI - 1e-9, 256)
-        vals = np.array([f(g) for g in grid])
-        idx = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
-        if idx.size == 0:
-            raise RuntimeError("geometry error")
-        lo, hi, flo = grid[idx[0]], grid[idx[0] + 1], vals[idx[0]]
-    t2 = bisect(f, lo, hi, flo)
+    t2 = _chord_exit(dom, boundary_xy(dom, t0), tangent, t1 + 1e-9, t1 + math.pi - 1e-9)
     return t1, t2
 
 
@@ -308,22 +288,27 @@ def _outer_step(dom: SupportDomain, point: np.ndarray):
     i = int(down[0])
     lo, hi = grid[i], grid[i] + (TWO_PI / grid.size)
     theta = bisect(f, lo, hi, f(lo))
-    tangency = boundary_xy(dom, theta)
-    return 2.0 * tangency - point, theta
+    return 2.0 * boundary_xy(dom, theta) - point
 
 
 def forward_map(dom: SupportDomain, tag: str, state):
-    """One step of the billiard map; see ChordState / (t0, t1) / point conventions."""
+    """One step of the billiard map on its state: (phi, alpha) for birkhoff, the
+    support angle and incidence angle alpha in (0, pi); (t0, t1) for symplectic,
+    two vertex support angles with 0 < t1 - t0 < pi; an outside point for outer.
+    A Birkhoff or symplectic state outside its range raises ValueError.
+    """
     if tag == "birkhoff":
-        phi, alpha = (state.phi, state.alpha) if isinstance(state, ChordState) else state
-        psi, alpha1 = _birkhoff_step(dom, float(phi), float(alpha))
-        return ChordState(psi, alpha1)
+        phi, alpha = (float(v) for v in state)
+        if not 0.0 < alpha < math.pi:
+            raise ValueError(f"birkhoff incidence angle must lie in (0, pi), got {alpha!r}")
+        return _birkhoff_step(dom, phi, alpha)
     if tag == "symplectic":
-        t0, t1 = state
-        return _symplectic_step(dom, float(t0), float(t1))
+        t0, t1 = (float(v) for v in state)
+        if not 0.0 < t1 - t0 < math.pi:
+            raise ValueError(f"symplectic gap t1 - t0 must lie in (0, pi), got {t1 - t0!r}")
+        return _symplectic_step(dom, t0, t1)
     if tag == "outer":
-        image, _ = _outer_step(dom, state)
-        return image
+        return _outer_step(dom, state)
     raise ValueError(f"forward map not implemented for tag {tag!r}")
 
 
@@ -360,7 +345,7 @@ def orbit_deviation(dom: SupportDomain, tag: str, cfg: Configuration) -> float:
         verts = outer_polygon(dom, cfg).vertices
         cur, dev = verts[0], 0.0
         for k in range(1, q + 1):
-            cur, _ = _outer_step(dom, cur)
+            cur = _outer_step(dom, cur)
             dev = max(dev, float(np.abs(cur - verts[k % q]).max()))
         return dev
     raise ValueError(f"forward map not implemented for tag {tag!r}")

@@ -413,8 +413,9 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int) -> float:
-    g = math.gcd(p, q)
-    return minimize_periodic(sys, p // g, q // g).beta
+    if g := math.gcd(p, q):
+        p, q = p // g, q // g
+    return minimize_periodic(sys, p, q).beta
 
 
 def convergents(omega: float, q_max: int) -> list[tuple[int, int]]:

@@ -300,6 +300,15 @@ class TestExitCodes:
              "--eq-tol must be finite and >= 0"),
             (["verify", "--theorem", "gutkin", "--domain", "disk:1", "--eq-tol", "inf"],
              "--eq-tol must be finite and >= 0"),
+            (["beta", "--domain", "disk:1", "--rot", ","], "--rot has an empty comma field: ','"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3,,1/4"],
+             "--rot has an empty comma field: '1/3,,1/4'"),
+            (["beta", "--domain", "disk:1", "--rot", ""], "--rot has an empty comma field: ''"),
+            (["verify", "--theorem", "T4.2", "--domain", "disk:1", "--rot", ","],
+             "--rot has an empty comma field: ','"),
+            (["verify", "--theorem", "CE6.5", "--domain", "disk:1", "--rot", ""], "--rot has an empty comma field: ''"),
+            (["toy", "--vcos", "0.1,,0.2", "--qmax", "4"], "--vcos has an empty comma field: '0.1,,0.2'"),
+            (["toy", "--vsin", "0.1,", "--qmax", "4"], "--vsin has an empty comma field: '0.1,'"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

@@ -81,10 +81,11 @@ class TestSupportJet:
         assert support_jet(ellipse(2, 1), np.zeros(3)).shape == (4, 3)
 
     def test_orders_above_three_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            eval_support(ellipse(2, 1), 0.1, 4)
-        with pytest.raises(ValueError, match="order"):
-            support_jet(ellipse(2, 1), 0.1, 4)
+        for order in (4, -1):
+            with pytest.raises(ValueError, match="order"):
+                eval_support(ellipse(2, 1), 0.1, order)
+            with pytest.raises(ValueError, match="order"):
+                support_jet(ellipse(2, 1), 0.1, order)
 
 
 def model_systems():

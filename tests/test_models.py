@@ -7,7 +7,6 @@ from billiard_beta import rigidity
 from billiard_beta.geometry import affine_image, AffineMap, boundary_xy, disk, ellipse, gutkin
 from billiard_beta.models import (
     MODEL_TAGS,
-    ChordState,
     beta_disk,
     config_vertices,
     forward_map,
@@ -175,10 +174,9 @@ class TestActionGeometryConsistency:
 
 class TestForwardMaps:
     def test_birkhoff_disk_advances_by_2alpha(self):
-        state = ChordState(0.0, math.pi / 3)
-        nxt = forward_map(disk(1.0), "birkhoff", state)
-        assert nxt.phi == pytest.approx(TWO_PI / 3, abs=1e-11)
-        assert nxt.alpha == pytest.approx(math.pi / 3, abs=1e-11)
+        phi, alpha = forward_map(disk(1.0), "birkhoff", (0.0, math.pi / 3))
+        assert phi == pytest.approx(TWO_PI / 3, abs=1e-11)
+        assert alpha == pytest.approx(math.pi / 3, abs=1e-11)
 
     def test_symplectic_disk_preserves_gap(self):
         t1, t2 = forward_map(disk(1.0), "symplectic", (0.0, math.pi / 2))
@@ -188,6 +186,22 @@ class TestForwardMaps:
         gap = 2.0  # > pi/2 exercises the root window
         t1, t2 = forward_map(disk(1.0), "symplectic", (0.0, gap))
         assert t2 - t1 == pytest.approx(gap, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "dom, tag, state",
+        [
+            (disk(1.0), "symplectic", (0.0, 4.0)),
+            (disk(1.0), "symplectic", (0.0, math.pi)),
+            (ellipse(2, 1), "symplectic", (0.0, -1.0)),
+            (disk(1.0), "symplectic", (1.0, 1.0)),
+            (disk(1.0), "birkhoff", (0.0, -math.pi / 3)),
+            (disk(1.0), "birkhoff", (0.0, 0.0)),
+            (disk(1.0), "birkhoff", (0.0, 4.0)),
+        ],
+    )
+    def test_states_outside_phase_space_rejected(self, dom, tag, state):
+        with pytest.raises(ValueError, match=r"\(0, pi\)"):
+            forward_map(dom, tag, state)
 
     def test_outer_disk_preserves_radius(self):
         pt = np.array([math.sqrt(2.0), 0.0])

@@ -174,8 +174,9 @@ class TestMinimizePeriodic:
                 minimize_periodic(toy, p, q)
         with pytest.raises(ValueError, match="q >= 2"):
             minimize_with_fixed_start(toy, 1, 1, 0.0)
-        with pytest.raises(ValueError, match="q >= 2"):
-            beta_rational(toy, 0, 4)
+        for p, q in [(0, 4), (0, 0)]:
+            with pytest.raises(ValueError, match="q >= 2"):
+                beta_rational(toy, p, q)
 
     def test_no_converged_start_reports_lowest_residual(self, monkeypatch):
         # Every start stops unconverged where it began; start 1 has the lowest residual.
