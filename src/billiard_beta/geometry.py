@@ -38,6 +38,10 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SupportDomain:
     """Convex domain given by a truncated Fourier support function.
@@ -90,7 +94,11 @@ class SupportDomain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SupportDomain":
-        modes = data.get("modes", [])
+        modes = data.get("modes", []) if isinstance(data, dict) else None
+        if not (isinstance(modes, list) and _is_number(data.get("a0")) and set(data) <= {"a0", "modes"}
+                and all(isinstance(m, list) and len(m) == 2 and all(map(_is_number, m)) for m in modes)):
+            raise ValueError("a domain file must be a JSON object with a numeric a0 "
+                             "and modes as [a_n, b_n] pairs, and no other keys")
         an = [m[0] for m in modes]
         bn = [m[1] for m in modes]
         return cls(float(data["a0"]), np.array(an), np.array(bn))

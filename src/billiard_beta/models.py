@@ -241,36 +241,20 @@ def config_vertices(dom: SupportDomain, tag: str, cfg: Configuration) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _chord_exit(dom: SupportDomain, p0: np.ndarray, d: np.ndarray, lo: float, hi: float) -> float:
-    """Root in (lo, hi) of d x (gamma(psi) - p0): where the line through p0 along d
-    meets the boundary.
+def _chord_exit(dom: SupportDomain, p0: np.ndarray, beta: float, lo: float, hi: float) -> float:
+    """Root in (lo, hi) of d x (gamma(psi) - p0), d the tangent of support angle
+    beta: where the line through p0 along d meets the boundary.
     """
+    d0, d1 = -math.sin(beta), math.cos(beta)
 
     def f(psi):
         g = boundary_xy(dom, psi)
-        return d[0] * (g[1] - p0[1]) - d[1] * (g[0] - p0[0])
+        return d0 * (g[1] - p0[1]) - d1 * (g[0] - p0[0])
 
     flo = f(lo)
     if (flo > 0) == (f(hi) > 0):
         raise RuntimeError("geometry error")
     return bisect(f, lo, hi, flo)
-
-
-def _birkhoff_step(dom: SupportDomain, phi: float, alpha: float):
-    # the chord runs along the tangent of support angle beta = phi + alpha, so it
-    # meets the tangent at its exit psi at the angle psi - beta
-    beta = phi + alpha
-    d = np.array([-math.sin(beta), math.cos(beta)])
-    psi = _chord_exit(dom, boundary_xy(dom, phi), d, phi + 1e-9, phi + TWO_PI - 1e-9)
-    return psi, psi - beta
-
-
-def _symplectic_step(dom: SupportDomain, t0: float, t1: float):
-    # gamma(t1) and gamma(t1 + pi) are the extreme points along n(t1), so for
-    # 0 < t1 - t0 < pi the bracket changes sign and excludes the root t0 + 2 pi
-    tangent = np.array([-math.sin(t1), math.cos(t1)])
-    t2 = _chord_exit(dom, boundary_xy(dom, t0), tangent, t1 + 1e-9, t1 + math.pi - 1e-9)
-    return t1, t2
 
 
 def _outer_step(dom: SupportDomain, point: np.ndarray):
@@ -301,54 +285,47 @@ def forward_map(dom: SupportDomain, tag: str, state):
         phi, alpha = (float(v) for v in state)
         if not 0.0 < alpha < math.pi:
             raise ValueError(f"birkhoff incidence angle must lie in (0, pi), got {alpha!r}")
-        return _birkhoff_step(dom, phi, alpha)
+        # the chord runs along the tangent of support angle beta = phi + alpha, so it
+        # meets the tangent at its exit psi at the angle psi - beta
+        beta = phi + alpha
+        psi = _chord_exit(dom, boundary_xy(dom, phi), beta, phi + 1e-9, phi + TWO_PI - 1e-9)
+        return psi, psi - beta
     if tag == "symplectic":
         t0, t1 = (float(v) for v in state)
         if not 0.0 < t1 - t0 < math.pi:
             raise ValueError(f"symplectic gap t1 - t0 must lie in (0, pi), got {t1 - t0!r}")
-        return _symplectic_step(dom, t0, t1)
+        # gamma(t1) and gamma(t1 + pi) are the extreme points along n(t1), so for
+        # 0 < t1 - t0 < pi the bracket changes sign and excludes the root t0 + 2 pi
+        return t1, _chord_exit(dom, boundary_xy(dom, t0), t1, t1 + 1e-9, t1 + math.pi - 1e-9)
     if tag == "outer":
         return _outer_step(dom, state)
     raise ValueError(f"forward map not implemented for tag {tag!r}")
 
 
 def orbit_deviation(dom: SupportDomain, tag: str, cfg: Configuration) -> float:
-    """Max distance between a configuration and its forward-map re-iteration.
+    """Max distance between the orbit states of a configuration and the q-step
+    forward-map re-iteration of its first state, angles lifted by winding * 2 pi.
 
-    The first chord (first two points for symplectic, first vertex and
-    incidence for Birkhoff, first polygon vertex for outer) seeds the map.
+    The states are (m_k, alpha_k) for birkhoff, with m_k the vertex angle between
+    chords k and k+1; chord k+1 runs along the tangent of support angle x_{k+1},
+    so alpha_k = x_{k+1} - m_k.  They are (x_k, x_{k+1}) for symplectic and the
+    polygon vertices for outer.
     """
-    p, q = cfg.winding, cfg.q
+    x, nxt = cfg.points, cfg.closed()
     if tag == "birkhoff":
-        psi = 0.5 * (cfg.points + cfg.closed())  # vertex support angles
-        psi_closed = np.append(psi, psi[0] + p * TWO_PI)
-        v0 = boundary_xy(dom, psi[0])
-        v1 = boundary_xy(dom, psi_closed[1])
-        d = (v1 - v0) / np.hypot(*(v1 - v0))
-        t0 = np.array([-math.sin(psi[0]), math.cos(psi[0])])
-        n0 = np.array([math.cos(psi[0]), math.sin(psi[0])])
-        alpha = math.atan2(-float(d @ n0), float(d @ t0))
-        cur, dev = (psi[0], alpha), 0.0
-        for k in range(1, q + 1):
-            cur = _birkhoff_step(dom, cur[0], cur[1])
-            dev = max(dev, abs(cur[0] - psi_closed[k]))
-        return dev
-    if tag == "symplectic":
-        x = np.append(cfg.points, [cfg.points[0] + p * TWO_PI, cfg.points[1] + p * TWO_PI])
-        dev = 0.0
-        cur = (x[0], x[1])
-        for k in range(2, q + 2):
-            cur = _symplectic_step(dom, cur[0], cur[1])
-            dev = max(dev, abs(cur[1] - x[k]))
-        return dev
-    if tag == "outer":
-        verts = outer_polygon(dom, cfg).vertices
-        cur, dev = verts[0], 0.0
-        for k in range(1, q + 1):
-            cur = _outer_step(dom, cur)
-            dev = max(dev, float(np.abs(cur - verts[k % q]).max()))
-        return dev
-    raise ValueError(f"forward map not implemented for tag {tag!r}")
+        states, lift = np.column_stack([0.5 * (x + nxt), 0.5 * (nxt - x)]), (TWO_PI, 0.0)
+    elif tag == "symplectic":
+        states, lift = np.column_stack([x, nxt]), (TWO_PI, TWO_PI)
+    elif tag == "outer":
+        states, lift = outer_polygon(dom, cfg).vertices, (0.0, 0.0)
+    else:
+        raise ValueError(f"forward map not implemented for tag {tag!r}")
+    states = np.vstack([states, states[0] + cfg.winding * np.array(lift)])
+    cur, dev = states[0], 0.0
+    for state in states[1:]:
+        cur = forward_map(dom, tag, cur)
+        dev = max(dev, float(np.abs(np.subtract(cur, state)).max()))
+    return dev
 
 
 def orbit_rows(dom: SupportDomain, tag: str, cfg: Configuration):

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .geometry import SupportDomain, area, eval_support, perimeter, support_jet
+from .geometry import SupportDomain, area, eval_support, perimeter
 from .models import beta_disk, make_system, outer_polygon, polygon_area
 from .twist import RotationNumber, beta_irrational_result, minimize_periodic, minimize_with_fixed_start
 
@@ -189,12 +189,10 @@ def equispaced_criticality_residual(dom: SupportDomain, rho: float) -> float:
     Vanishes identically exactly when the domain carries an invariant curve of
     constant reflection angle pi*rho.
     """
-    phi = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    jet = make_system(dom, "birkhoff").jet
     gap = 2.0 * math.pi * rho
-    s, c = math.sin(math.pi * rho), math.cos(math.pi * rho)
-    (h0, h1), (hp0, hp1) = support_jet(dom, np.stack([phi, phi + gap]), 1)
-    res = (hp1 + hp0) * s - (h1 - h0) * c
-    return float(np.abs(res).max())
+    x = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) + 0.5 * gap
+    return float(np.abs(jet(x - gap, x, 1)[2] + jet(x, x + gap, 1)[1]).max())
 
 
 def gutkin_equality_check(
@@ -320,6 +318,16 @@ def outer_quarter_relation(
     )
 
 
+def _outer_rotation(rho: Fraction | float) -> Fraction:
+    """rho as the Fraction 1/3 or 1/4, the rotations the outer verifiers are
+    stated for; a float must equal float(Fraction(1, 3)) or float(Fraction(1, 4)).
+    """
+    for frac in (Fraction(1, 3), Fraction(1, 4)):
+        if rho == frac or (isinstance(rho, float) and rho == float(frac)):
+            return frac
+    raise ValueError(f"the outer verifiers are stated for rho in {{1/3, 1/4}}, got {rho}")
+
+
 def outer_counterexample(
     dom: SupportDomain,
     rho: Fraction | float,
@@ -331,9 +339,7 @@ def outer_counterexample(
     gap = rhs - lhs > 0 reproduces the counterexample direction (the domain
     beats the disk bound); gap < 0 is the reversed, invariant-curve direction.
     """
-    frac = Fraction(rho).limit_denominator(64)
-    if (frac.numerator, frac.denominator) not in ((1, 3), (1, 4)):
-        raise ValueError("counterexample check is stated for rho in {1/3, 1/4}")
+    frac = _outer_rotation(rho)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
     rhs = _disk_beta(dom, "outer", float(frac))
     return _report(
@@ -367,7 +373,7 @@ def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> floa
 
 def outer_rigidity_theorem(
     dom: SupportDomain,
-    rho: Fraction,
+    rho: Fraction | float,
     num_tol: float = NUM_TOL,
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
@@ -377,10 +383,8 @@ def outer_rigidity_theorem(
     critical orbits have equal action, beta_out(rho) >= (area/pi) tan(pi rho),
     with equality only for ellipses.
     """
-    frac = Fraction(rho)
-    theorem = {(1, 3): "T6.4", (1, 4): "T6.10"}.get((frac.numerator, frac.denominator))
-    if theorem is None:
-        raise ValueError("outer rigidity is stated for rho in {1/3, 1/4}")
+    frac = _outer_rotation(rho)
+    theorem = "T6.4" if frac.denominator == 3 else "T6.10"
     spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
     rhs = _disk_beta(dom, "outer", float(frac))

@@ -21,18 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-# TwistSystem view -> (jet order, index of the component in the jet)
-_JET_VIEWS = {"S": (0, 0), "S1": (1, 1), "S2": (1, 2), "S11": (2, 3), "S12": (2, 4), "S22": (2, 5)}
-
-
-def _jet_view(jet: Callable, order: int, index: int) -> Callable:
-    return lambda x0, x1: jet(x0, x1, order)[index]
-
-
-def _pairwise_cyclic_jet(jet: Callable, period: float) -> Callable:
-    return lambda x, p, order: jet(x, _closed(x, p, period), order)
-
-
 @dataclass(frozen=True)
 class TwistSystem:
     """Generating-function system on a periodic parameter line.
@@ -46,9 +34,6 @@ class TwistSystem:
     cyclic_jet(x, p, order), the only jet the engine calls, equals
     jet(x, _closed(x, p, period), order) on configurations x (last axis), and
     is that by default.  A model may compute it from one evaluation on x.
-
-    The fields S ... S22 are single-component views of jet, filled in when
-    not given.
     """
 
     period: float
@@ -56,19 +41,15 @@ class TwistSystem:
     jet: Callable
     name: str = ""
     cyclic_jet: Callable = None
-    S: Callable = None
-    S1: Callable = None
-    S2: Callable = None
-    S11: Callable = None
-    S12: Callable = None
-    S22: Callable = None
+
+    # Not fields: perfbench/tracing.py (MODEL_FIELDS) reads these names and
+    # wraps those that are not None.  They go when the tracer stops reading them.
+    S = S1 = S2 = S11 = S12 = S22 = None
 
     def __post_init__(self):
         if self.cyclic_jet is None:
-            object.__setattr__(self, "cyclic_jet", _pairwise_cyclic_jet(self.jet, self.period))
-        for key, (order, index) in _JET_VIEWS.items():
-            if getattr(self, key) is None:
-                object.__setattr__(self, key, _jet_view(self.jet, order, index))
+            jet, period = self.jet, self.period
+            object.__setattr__(self, "cyclic_jet", lambda x, p, order: jet(x, _closed(x, p, period), order))
 
 
 @dataclass(frozen=True)
@@ -82,7 +63,7 @@ class RotationNumber:
 
     def __post_init__(self):
         if self.q:
-            g = math.gcd(self.p, self.q)
+            g = math.gcd(self.p, self.q) * (1 if self.q > 0 else -1)  # keeps q > 0
             object.__setattr__(self, "p", self.p // g)
             object.__setattr__(self, "q", self.q // g)
 

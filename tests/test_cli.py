@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from billiard_beta import cli
 from billiard_beta.cli import main, parse_domain, parse_rotations
 from billiard_beta.geometry import save_domain, squeezed_disk
+from billiard_beta.models import MODEL_TAGS, polygon_area, polygon_perimeter
 from billiard_beta.rigidity import verify_main_inequality
 
 
@@ -85,6 +87,32 @@ class TestBetaCommand:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 4 and all(row.endswith(",1") for row in rows)
 
+    def test_negative_over_negative_rotation(self, capsys):
+        code, out = run(capsys, "beta", "--domain", "disk:1", "--model", "birkhoff", "--rot=-1/-3")
+        assert code == 0
+        assert out.strip().splitlines()[1].startswith("birkhoff,1/3,-1.732050808,")
+
+    def test_orbit_out_polygons_carry_the_action(self, capsys, tmp_path):
+        # Each 1/3 orbit polygon has perimeter (birkhoff, fourth) or area
+        # (symplectic, outer) 3 |beta|; the irrational rotation has no orbit.
+        # The check reads the action, not which symmetric minimizer is printed.
+        path = tmp_path / "orbit.csv"
+        code, out = run(
+            capsys, "beta", "--domain", "ellipse:2,1", "--model", "all",
+            "--rot", "1/3,0.3162277660168379", "--orbit-out", str(path),
+        )
+        assert code == 0
+        betas = {tuple(l.split(",")[:2]): float(l.split(",")[2]) for l in out.strip().splitlines()[1:]}
+        lines = path.read_text().splitlines()
+        assert lines[0] == "model,rho,k,phi,x,y"
+        rows = [line.split(",") for line in lines[1:]]
+        assert {row[1] for row in rows} == {"1/3"}
+        for tag in MODEL_TAGS:
+            verts = np.array([[float(v) for v in row[4:]] for row in rows if row[0] == tag])
+            assert [int(row[2]) for row in rows if row[0] == tag] == [0, 1, 2]
+            size = polygon_perimeter(verts) if tag in ("birkhoff", "fourth") else abs(polygon_area(verts))
+            assert size == pytest.approx(3 * abs(betas[(tag, "1/3")]), abs=1e-7)
+
 
 class TestVerifyCommand:
     def test_t43_ellipse_equality(self, capsys):
@@ -135,6 +163,13 @@ class TestVerifyCommand:
     def test_constwidth(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "constwidth", "--domain", "constwidth:0.05,3")
         assert code == 0
+
+    def test_t610_disk(self, capsys):
+        code, out = run(capsys, "verify", "--theorem", "T6.10", "--domain", "disk:1")
+        assert code == 0
+        payload = json.loads(out.strip())
+        assert payload["theorem"] == "T6.10" and payload["rho"] == 0.25
+        assert payload["hypothesis_certified"] and payload["equality"]
 
     def test_p69_disk_equality(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "P6.9", "--domain", "disk:1")
@@ -309,6 +344,10 @@ class TestExitCodes:
             (["verify", "--theorem", "CE6.5", "--domain", "disk:1", "--rot", ""], "--rot has an empty comma field: ''"),
             (["toy", "--vcos", "0.1,,0.2", "--qmax", "4"], "--vcos has an empty comma field: '0.1,,0.2'"),
             (["toy", "--vsin", "0.1,", "--qmax", "4"], "--vsin has an empty comma field: '0.1,'"),
+            (["beta", "--domain", "gutkin:4", "--rot", "1/3"], "gutkin domain needs two parameters"),
+            (["beta", "--domain", "constwidth:0.05,3,1", "--rot", "1/3"], "constwidth:eps[,n]"),
+            (["verify", "--theorem", "CE6.5", "--domain", "disk:1", "--rot", "0.3162277660168379"],
+             "CE6.5 is stated for the rationals 1/3 and 1/4"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):
@@ -317,3 +356,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "text",
+        ['[1, 2]', '{"modes": []}', '{"a0": 1, "modes": [[0.1]]}', '{"a0": 1, "modes": [[0.01, 0, 5]]}',
+         '{"a0": "1"}', '{"a0": 1, "modes": [[0.01, true]]}', '{"a0": 1, "mode": [[0.1, 0]]}'],
+    )
+    def test_malformed_domain_file(self, capsys, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("domain") / "dom.json"
+        path.write_text(text)
+        assert main(["beta", "--domain", str(path), "--rot", "1/3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain file must be a JSON object with a numeric a0 and modes as [a_n, b_n] pairs" in captured.err

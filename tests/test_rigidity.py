@@ -243,6 +243,11 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             outer_counterexample(disk(1.0), Fraction(1, 5))
 
+    def test_rejects_float_near_quarter(self):
+        # no rounding to a nearby fraction: only 1/3 and 1/4 themselves
+        with pytest.raises(ValueError, match=r"stated for rho in \{1/3, 1/4\}"):
+            outer_counterexample(disk(1.0), 0.2500001)
+
 
 class TestOuterRigidity:
     def test_disk_third(self):
@@ -256,6 +261,12 @@ class TestOuterRigidity:
     def test_squeezed_disk_fails_hypothesis(self):
         rep = outer_rigidity_theorem(squeezed_disk(0.1), Fraction(1, 4))
         assert not rep.meta["hypothesis_certified"]
+
+    def test_accepts_the_float_third(self):
+        # the float rule of outer_counterexample: float(Fraction(1, 3)) is 1/3
+        rep = outer_rigidity_theorem(disk(1.0), float(Fraction(1, 3)))
+        assert rep.theorem == "T6.4" and rep.rho == pytest.approx(1 / 3)
+        assert rep.meta["hypothesis_certified"] and rep.equality
 
     def test_spread_values(self):
         assert invariant_curve_spread(disk(1.0), "outer", 1, 3) < 1e-10

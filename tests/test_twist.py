@@ -659,6 +659,14 @@ class TestRotationNumber:
         rho = RotationNumber.parse(repr(1 / math.sqrt(8)))
         assert not rho.is_rational
 
+    @pytest.mark.parametrize(
+        "p, q, reduced", [(1, -3, (-1, 3)), (-1, -3, (1, 3)), (2, -6, (-1, 3)), (0, -4, (0, 1))]
+    )
+    def test_negative_denominator_moves_to_numerator(self, p, q, reduced):
+        rho = RotationNumber.rational(p, q)
+        assert (rho.p, rho.q) == reduced
+        assert str(rho) == f"{reduced[0]}/{reduced[1]}"
+
     def test_fraction_helpers(self):
         assert RotationNumber.rational(2, 6).value == pytest.approx(float(Fraction(1, 3)))
         assert farey_fractions(5) == [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2)]
