@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys as _sys
 from fractions import Fraction
 
@@ -95,62 +96,50 @@ def _farey_grid(qmax: int, include_half: bool) -> list[tuple[int, int]]:
     return grid
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+def _tags(text: str) -> tuple[str, ...]:
+    """Model tags of a --model value: 'all' or a comma list of known tags."""
+    tags = MODEL_TAGS if text == "all" else tuple(_fields("--model", text))
+    if unknown := [tag for tag in tags if tag not in MODEL_TAGS]:
+        raise ValueError(f"unknown model tag: {unknown[0]!r}")
+    return tags
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is '-'."""
+    if path != "-":
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)
 
 
+def _emit(lines: list[str], path: str) -> None:
+    _write(path, "\n".join(lines) + "\n")
+
+
 def cmd_beta(args) -> int:
     dom = parse_domain(args.domain)
-    tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
+    tags = _tags(args.model)
     rotations = parse_rotations(args.rot, args.tol)
-    jobs = [(tag, rho) for tag in tags for rho in rotations]
-
-    def run(job):
-        tag, rho = job
-        sys = make_system(dom, tag)
-        if rho.is_rational:
-            res = twist.minimize_periodic(sys, rho.p, rho.q)
-            return tag, rho, res.beta, res.grad_residual, res.converged, res.config
-        ir = twist.beta_irrational_result(sys, rho.omega, rho.tol)
-        return tag, rho, ir.value, ir.upper - ir.lower, ir.converged, None
-
-    results = [run(job) for job in jobs]
-    ok = all(r[4] for r in results)
+    lines = ["model,rho,beta,residual,converged"] if args.format == "csv" else []
+    orbit_lines = ["model,rho,k,phi,x,y"]
+    ok = True
+    for tag in tags:
+        for rho in rotations:
+            beta, resid, conv, cfg = twist.beta_at(make_system(dom, tag), rho)
+            ok = ok and conv
+            if args.format == "json":
+                row = {"model": tag, "rho": str(rho), "beta": beta, "residual": resid, "converged": conv}
+                lines.append(json.dumps(row, sort_keys=True))
+            else:
+                lines.append(f"{tag},{rho},{_fmt(beta)},{_fmt(resid)},{int(conv)}")
+            if args.orbit_out and cfg is not None:
+                orbit_lines += [
+                    f"{tag},{rho},{k},{_fmt(phi)},{_fmt(x)},{_fmt(y)}"
+                    for k, phi, x, y in models.orbit_rows(dom, tag, cfg)
+                ]
     if args.orbit_out:
-        orbit_lines = ["model,rho,k,phi,x,y"]
-        for tag, rho, _, _, _, cfg in results:
-            if cfg is None:
-                continue
-            for k, phi, x, y in models.orbit_rows(dom, tag, cfg):
-                orbit_lines.append(f"{tag},{rho},{k},{_fmt(phi)},{_fmt(x)},{_fmt(y)}")
-        with open(args.orbit_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(orbit_lines) + "\n")
-    results = [r[:5] for r in results]
-    if args.format == "json":
-        lines = [
-            json.dumps(
-                {
-                    "model": tag,
-                    "rho": str(rho),
-                    "beta": beta,
-                    "residual": resid,
-                    "converged": conv,
-                },
-                sort_keys=True,
-            )
-            for tag, rho, beta, resid, conv in results
-        ]
-    else:
-        lines = ["model,rho,beta,residual,converged"]
-        lines += [
-            f"{tag},{rho},{_fmt(beta)},{_fmt(resid)},{int(conv)}"
-            for tag, rho, beta, resid, conv in results
-        ]
+        _emit(orbit_lines, args.orbit_out)
     _emit(lines, args.out)
     return EXIT_OK if ok else EXIT_NOCONV
 
@@ -183,7 +172,9 @@ def _verify_reports(args, dom) -> list:
 def cmd_verify(args) -> int:
     if args.rot is not None and args.theorem not in ("T4.2", "T4.3", "T4.4", "CE6.5"):
         raise ValueError(f"--rot does not apply to theorem {args.theorem}")
-    dom = parse_domain(args.domain)
+    if args.domain is None and args.theorem != "gutkin":
+        raise ValueError(f"--theorem {args.theorem} needs --domain")
+    dom = None if args.domain is None else parse_domain(args.domain)
     if args.theorem == "radon":
         report = radon_check(dom, tol=args.eq_tol)
         payload = {
@@ -258,31 +249,24 @@ def render_sweep_svg(curves: dict, outline, orbit) -> str:
 def cmd_sweep(args) -> int:
     dom = parse_domain(args.domain)
     grid = _farey_grid(args.qmax, include_half=False)
-    tags = MODEL_TAGS if args.model == "all" else tuple(args.model.split(","))
-
-    results = [
-        (tag, p, q, minimize_periodic(make_system(dom, tag), p, q))
-        for tag in tags
-        for p, q in grid
-    ]
+    tags = _tags(args.model)
     lines = ["model,p,q,rho,beta,residual,converged"]
-    for tag, p, q, res in results:
-        lines.append(
-            f"{tag},{p},{q},{_fmt(p / q)},{_fmt(res.beta)},{_fmt(res.grad_residual)},{int(res.converged)}"
-        )
+    curves = {tag: [] for tag in tags}
+    orbit, ok = np.zeros((0, 2)), True
+    for tag in tags:
+        for p, q in grid:
+            res = minimize_periodic(make_system(dom, tag), p, q)
+            ok = ok and res.converged
+            lines.append(
+                f"{tag},{p},{q},{_fmt(p / q)},{_fmt(res.beta)},{_fmt(res.grad_residual)},{int(res.converged)}"
+            )
+            curves[tag].append((p / q, res.beta))
+            if args.svg and tag == tags[0] and (p, q) == (1, 3):
+                orbit = config_vertices(dom, tag, res.config)
     _emit(lines, args.out)
     if args.svg:
-        curves = {tag: [] for tag in tags}
-        for tag, p, q, res in results:
-            curves[tag].append((p / q, res.beta))
         outline = geometry.boundary_xy(dom, np.linspace(0, 2 * math.pi, 256, endpoint=False))
-        sample = next((r for t, p, q, r in results if t == tags[0] and (p, q) == (1, 3)), None)
-        orbit = (
-            config_vertices(dom, tags[0], sample.config) if sample is not None else np.zeros((0, 2))
-        )
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_sweep_svg(curves, outline, orbit))
-    ok = all(res.converged for _, _, _, res in results)
+        _write(args.svg, render_sweep_svg(curves, outline, orbit))
     return EXIT_OK if ok else EXIT_NOCONV
 
 
@@ -310,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--domain", required=True, help="family:params (disk:1, ellipse:2,1, "
+    def common(p, domain_required=True):
+        p.add_argument("--domain", required=domain_required, help="family:params (disk:1, ellipse:2,1, "
                        "gutkin:4,0.05, constwidth:0.05,3, squeezed:0.1) or a .json path")
         p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -323,11 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta.add_argument("--rot", required=True, help="comma list of p/q or decimals")
     p_beta.add_argument("--format", choices=("json", "csv"), default="csv")
     p_beta.add_argument("--orbit-out", default=None,
-                        help="also dump minimizing orbits as CSV rows (k, phi, x, y)")
+                        help="also dump minimizing orbits as CSV rows (k, phi, x, y); '-' for stdout")
     p_beta.set_defaults(func=cmd_beta)
 
-    p_verify = sub.add_parser("verify", help="run a rigidity verifier")
-    common(p_verify)
+    p_verify = sub.add_parser(
+        "verify", help="run a rigidity verifier",
+        description="--theorem gutkin needs no --domain: it builds its table from --gutkin-n and --gutkin-eps",
+    )
+    common(p_verify, domain_required=False)
     p_verify.add_argument("--tol", type=float, default=1e-6, help="irrational beta tolerance")
     p_verify.add_argument(
         "--theorem",
@@ -346,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--model", default="all")
     p_sweep.add_argument("--qmax", type=int, default=10)
-    p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")
+    p_sweep.add_argument("--svg", default=None, help="optional SVG plot path, '-' for stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_toy = sub.add_parser("toy", help="perturbed integrable system: beta_V vs beta_0 table")
@@ -372,6 +359,12 @@ def main(argv=None) -> int:
             value = getattr(args, name, 0.0)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value!r}")
+        for name in ("out", "orbit_out", "svg"):  # every output path, before any solve
+            path = getattr(args, name, None)
+            if path in (None, "-"):
+                continue
+            if os.path.isdir(path or ".") or not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"--{name.replace('_', '-')} must be a file in an existing directory, got {path!r}")
         return args.func(args)
     except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

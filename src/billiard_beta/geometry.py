@@ -258,6 +258,8 @@ ELLIPSE_MODES = 64
 
 def ellipse(a: float, b: float) -> SupportDomain:
     """Ellipse with semi-axes a, b: h = sqrt(a^2 cos^2 + b^2 sin^2), projected."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"ellipse semi-axes must be positive, got {a!r}, {b!r}")
     m = _grid_size(ELLIPSE_MODES)
     phi = np.linspace(0.0, TWO_PI, m, endpoint=False)
     samples = np.sqrt((a * np.cos(phi)) ** 2 + (b * np.sin(phi)) ** 2)
@@ -290,6 +292,8 @@ def squeezed_disk(eps: float, sigma: float = SQUEEZE_SIGMA) -> SupportDomain:
 
     The dent is the smooth periodic cap bump(phi) = exp(-(1 - cos(phi - pi/2)) / sigma^2).
     """
+    if not sigma > 0.0:
+        raise ValueError(f"squeeze width sigma must be positive, got {sigma!r}")
     m = _grid_size(SQUEEZE_MODES)
     phi = np.linspace(0.0, TWO_PI, m, endpoint=False)
     bump = np.exp(-(1.0 - np.cos(phi - 0.5 * math.pi)) / sigma**2)

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .geometry import SupportDomain, area, eval_support, perimeter
 from .models import beta_disk, make_system, outer_polygon, polygon_area
-from .twist import RotationNumber, beta_irrational_result, minimize_periodic, minimize_with_fixed_start
+from .twist import RotationNumber, beta_at, beta_irrational_result, minimize_periodic, minimize_with_fixed_start
 
 EQ_TOL = 1e-6
 NUM_TOL = 1e-8
@@ -85,13 +85,7 @@ def verify_main_inequality(
     if theorem not in _MAIN_MODEL:
         raise ValueError(f"unknown main-inequality tag: {theorem!r}")
     tag = _MAIN_MODEL[theorem]
-    sys = make_system(dom, tag)
-    if rho.is_rational:
-        res = minimize_periodic(sys, rho.p, rho.q)
-        lhs, converged, residual = res.beta, res.converged, res.grad_residual
-    else:
-        ir = beta_irrational_result(sys, rho.omega, rho.tol)
-        lhs, converged, residual = ir.value, ir.converged, ir.upper - ir.lower
+    lhs, residual, converged, _ = beta_at(make_system(dom, tag), rho)
     rhs = _disk_beta(dom, tag, rho.value)
     return _report(
         theorem, rho.value, lhs, rhs, rhs - lhs, converged, num_tol, eq_tol, residual=residual

@@ -290,7 +290,7 @@ def _tol_effective(act, q):
     return TOL * (1.0 + abs(act / q))
 
 
-def _newton_phase(sys, x, p, free=1.0):
+def _newton_phase(sys, x, p, pin=False):
     """Newton on the periodic action with an inertia-controlled shift.
 
     Each step solves (H + mu) delta = -grad.  While H + mu is not positive
@@ -301,36 +301,34 @@ def _newton_phase(sys, x, p, free=1.0):
     meets the Armijo test A(x + t delta) <= A + 1e-4 t grad.delta or lowers
     the max-norm residual; once halving no longer moves x, the solve stops
     unconverged.  One order-2 evaluation per trial point gives the action,
-    gradient and Hessian.  free is 0 at pinned coordinates: their gradient is
-    masked and their rows of the Hessian are replaced by the identity, so
-    they never move.  Returns (x, action, residual, converged).
+    gradient and Hessian.  With pin, x_0 never moves: its gradient and both
+    its couplings are 0 and its Hessian row is the identity, so its step is
+    0.  Returns (x, action, residual, converged).
     """
     q = x.size
-    pinned = free == 0
-    coupled = free * np.roll(free, -1)
-    act, grad, diag, e = _evaluate(sys, x, p, 2)
-    grad = grad * free
-    res = float(np.abs(grad).max())
+
+    def evaluate(x):
+        act, grad, diag, e = _evaluate(sys, x, p, 2)
+        if pin:
+            grad[0], diag[0], e[0], e[-1] = 0.0, 1.0, 0.0, 0.0
+        return act, grad, diag, e, float(np.abs(grad).max())
+
+    act, grad, diag, e, res = evaluate(x)
     mu = 0.0
     for _ in range(MAX_NEWTON_ITER):
         if res < _tol_effective(act, q):
             return x, act, res, True
-        diag[pinned] = 1.0
-        e = e * coupled
         while (delta := _solve_cyclic(diag + mu, e, -grad)) is None:
             mu = max(1e-6 * (1.0 + float(np.abs(diag).max())), 10.0 * mu)
             if not mu < math.inf:  # no shift makes a NaN Hessian definite
                 return x, act, res, False
-        delta = delta * free
         slope = float(grad @ delta)
         t = _feasible_fraction(sys, x, delta, p)
         while True:
             trial = x + t * delta
             if np.array_equal(trial, x):
                 return x, act, res, False
-            act_t, grad_t, diag_t, e_t = _evaluate(sys, trial, p, 2)
-            grad_t = grad_t * free
-            res_t = float(np.abs(grad_t).max())
+            act_t, grad_t, diag_t, e_t, res_t = evaluate(trial)
             if act_t <= act + 1e-4 * t * slope or res_t < res:
                 break
             t *= 0.5
@@ -359,9 +357,9 @@ def _select(sys, p, q, candidates):
     return BetaResult(float(act) / q, cfg, float(res), bool(ok))
 
 
-def _solve(sys, p, q, rows, free=1.0):
-    """Run Newton from each start row and _select; free is 0 where pinned."""
-    return _select(sys, p, q, [_newton_phase(sys, row, p, free) for row in rows])
+def _solve(sys, p, q, rows, pin=False):
+    """Run Newton from each start row, x_0 fixed with pin, and _select."""
+    return _select(sys, p, q, [_newton_phase(sys, row, p, pin) for row in rows])
 
 
 def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:
@@ -387,10 +385,8 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
     """
     if why := _inadmissible(sys, p, q):
         raise ValueError(why)
-    free = np.ones(q)
-    free[0] = 0.0
     start = x0 + np.arange(q) * (p * sys.period / q)
-    return _solve(sys, p, q, start[None, :], free)
+    return _solve(sys, p, q, start[None, :], pin=True)
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int) -> float:
@@ -546,6 +542,16 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
     lower, upper = best
     value = upper if math.isinf(lower) or math.isnan(lower) else 0.5 * (lower + upper)
     return IrrationalBetaResult(value, lower, upper, False, tuple(evals))
+
+
+def beta_at(sys: TwistSystem, rho: RotationNumber) -> tuple:
+    """(beta, residual, converged, config) at rho: minimize_periodic's gradient
+    residual and configuration, or beta_irrational_result's bracket width and None."""
+    if rho.is_rational:
+        res = minimize_periodic(sys, rho.p, rho.q)
+        return res.beta, res.grad_residual, res.converged, res.config
+    ir = beta_irrational_result(sys, rho.omega, rho.tol)
+    return ir.value, ir.upper - ir.lower, ir.converged, None
 
 
 def beta_irrational(sys: TwistSystem, omega: float, tol: float = 1e-6) -> float:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from billiard_beta import cli
+from billiard_beta import cli, twist
 from billiard_beta.cli import main, parse_domain, parse_rotations
 from billiard_beta.geometry import save_domain, squeezed_disk
 from billiard_beta.models import MODEL_TAGS, polygon_area, polygon_perimeter
@@ -113,6 +113,19 @@ class TestBetaCommand:
             size = polygon_perimeter(verts) if tag in ("birkhoff", "fourth") else abs(polygon_area(verts))
             assert size == pytest.approx(3 * abs(betas[(tag, "1/3")]), abs=1e-7)
 
+    def test_orbit_out_dash_is_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(
+            capsys, "beta", "--domain", "disk:1", "--model", "birkhoff", "--rot", "1/3", "--orbit-out", "-",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "model,rho,k,phi,x,y"
+        assert [line.split(",")[:3] for line in lines[1:4]] == [["birkhoff", "1/3", str(k)] for k in range(3)]
+        assert lines[4] == "model,rho,beta,residual,converged"
+        assert len(lines) == 6 and lines[5].startswith("birkhoff,1/3,")
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyCommand:
     def test_t43_ellipse_equality(self, capsys):
@@ -139,6 +152,11 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out.strip())["equality"]
+
+    def test_gutkin_needs_no_domain(self, capsys):
+        outputs = [run(capsys, "verify", "--theorem", "gutkin", *extra) for extra in ([], ["--domain", "disk:1"])]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
     def test_gutkin_tol_reaches_bracket(self, capsys):
         argv = ["verify", "--theorem", "gutkin", "--domain", "disk:1"]
@@ -348,6 +366,17 @@ class TestExitCodes:
             (["beta", "--domain", "constwidth:0.05,3,1", "--rot", "1/3"], "constwidth:eps[,n]"),
             (["verify", "--theorem", "CE6.5", "--domain", "disk:1", "--rot", "0.3162277660168379"],
              "CE6.5 is stated for the rationals 1/3 and 1/4"),
+            (["sweep", "--domain", "disk:1", "--qmax", "3", "--model", "birkhoff", "--svg", "{tmp}/nodir/x.svg"],
+             "--svg must be a file in an existing directory"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--orbit-out", "{tmp}/o.csv", "--out", "{tmp}/nodir/x.csv"],
+             "--out must be a file in an existing directory"),
+            (["beta", "--domain", "disk:1", "--rot", "1/3", "--out", "{tmp}"],
+             "--out must be a file in an existing directory"),
+            (["beta", "--domain", "ellipse:-2,1", "--rot", "1/3"], "ellipse semi-axes must be positive"),
+            (["beta", "--domain", "squeezed:0.1,-0.3", "--rot", "1/3"], "squeeze width sigma must be positive"),
+            (["verify", "--theorem", "T4.2"], "--theorem T4.2 needs --domain"),
+            (["beta", "--domain", "disk:1", "--model", "birkhoff,", "--rot", "1/3"],
+             "--model has an empty comma field: 'birkhoff,'"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):
@@ -356,6 +385,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["beta", "--rot", "1/3"], ["sweep", "--qmax", "3"]])
+    def test_unknown_model_fails_before_any_solve(self, capsys, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the model tags were checked")
+
+        monkeypatch.setattr(twist, "_solve", no_solve)
+        assert main([*command, "--domain", "disk:1", "--model", "birkhoff,foo"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown model tag: 'foo'" in captured.err
 
     @pytest.mark.parametrize(
         "text",

@@ -183,7 +183,7 @@ class TestMinimizePeriodic:
         sys = make_system(ellipse(2, 1), "birkhoff")
         residuals = iter([3e-3, 1e-4, 5e-2, 2e-4, 7e-3, 4e-4, 9e-4, 6e-3])
 
-        def unconverged(sys, x, p, free=1.0):
+        def unconverged(sys, x, p, pin=False):
             res = next(residuals)
             return x, float(_evaluate(sys, x, p, 0)[0]), res, False
 
@@ -476,9 +476,9 @@ class TestHullSeed:
                 seeded.append(rows)
             return rows
 
-        def solve_in_strip(sys, p, q, rows, free=1.0):
+        def solve_in_strip(sys, p, q, rows, pin=False):
             assert not any(rows is bad for bad in seeded)
-            return solve_rows(sys, p, q, rows, free)
+            return solve_rows(sys, p, q, rows, pin)
 
         monkeypatch.setattr(twist, "_hull_rows", off_strip)
         monkeypatch.setattr(twist, "_solve", solve_in_strip)
@@ -493,8 +493,8 @@ class TestHullSeed:
         solve_rows = twist._solve
         seeded = []
 
-        def seed_fails(sys, p, q, rows, free=1.0):
-            sol = solve_rows(sys, p, q, rows, free)
+        def seed_fails(sys, p, q, rows, pin=False):
+            sol = solve_rows(sys, p, q, rows, pin)
             if np.array_equal(rows, _hull_rows(Configuration([0.0], 1, sys.period), p, q)):
                 return sol
             seeded.append(q)
