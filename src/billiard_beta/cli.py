@@ -28,7 +28,7 @@ from .rigidity import (
     outer_third_relation,
     verify_main_inequality,
 )
-from .twist import RotationNumber, farey_fractions, minimize_periodic
+from .twist import Q_MAX, RotationNumber, farey_fractions, minimize_periodic
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -36,6 +36,9 @@ EXIT_USAGE = 2
 EXIT_NOCONV = 3
 
 SEED_HELP = "accepted and ignored: no solve draws random numbers"
+
+# The theorems that take --rot, and the rotation each reports without it.
+_DEFAULT_ROT = {"T4.2": "1/3", "T4.3": "1/3", "T4.4": "1/3", "CE6.5": "1/4"}
 
 
 def _fmt(x: float) -> str:
@@ -89,6 +92,8 @@ def parse_rotations(text: str, tol: float) -> list[RotationNumber]:
 
 
 def _farey_grid(qmax: int, include_half: bool) -> list[tuple[int, int]]:
+    if qmax > Q_MAX:  # checked before the O(qmax^2) grid is built
+        raise ValueError(f"--qmax {qmax} exceeds q_max = {Q_MAX}")
     grid = farey_fractions(qmax, include_half)
     if not grid:
         least = 2 if include_half else 3
@@ -147,15 +152,15 @@ def cmd_beta(args) -> int:
 def _verify_reports(args, dom) -> list:
     kw = dict(num_tol=args.num_tol, eq_tol=args.eq_tol)
     theorem = args.theorem
+    if theorem in _DEFAULT_ROT:
+        rotations = parse_rotations(_DEFAULT_ROT[theorem] if args.rot is None else args.rot, args.tol)
     if theorem in ("T4.2", "T4.3", "T4.4"):
-        rotations = parse_rotations("1/3" if args.rot is None else args.rot, args.tol)
         return [verify_main_inequality(dom, theorem, rho, **kw) for rho in rotations]
     if theorem == "C6.3":
         return [outer_third_relation(dom, **kw)]
     if theorem == "P6.9":
         return [outer_quarter_relation(dom, **kw)]
     if theorem == "CE6.5":
-        rotations = parse_rotations("1/4" if args.rot is None else args.rot, args.tol)
         if any(not r.is_rational for r in rotations):
             raise ValueError("CE6.5 is stated for the rationals 1/3 and 1/4")
         return [outer_counterexample(dom, Fraction(r.p, r.q), **kw) for r in rotations]
@@ -170,7 +175,7 @@ def _verify_reports(args, dom) -> list:
 
 
 def cmd_verify(args) -> int:
-    if args.rot is not None and args.theorem not in ("T4.2", "T4.3", "T4.4", "CE6.5"):
+    if args.rot is not None and args.theorem not in _DEFAULT_ROT:
         raise ValueError(f"--rot does not apply to theorem {args.theorem}")
     if args.domain is None and args.theorem != "gutkin":
         raise ValueError(f"--theorem {args.theorem} needs --domain")
@@ -276,14 +281,17 @@ def cmd_toy(args) -> int:
     sin_coeffs = [float(v) for v in _fields("--vsin", args.vsin)] if args.vsin else []
     sys = twist.make_toy_system(cos_coeffs, sin_coeffs)
     lines = ["rho,beta_V,beta_0,gap"]
-    worst = 0.0
+    worst, ok = 0.0, True
     for p, q in grid:
-        beta_v = minimize_periodic(sys, p, q).beta
+        res = minimize_periodic(sys, p, q)
+        ok = ok and res.converged
         beta_0 = 0.5 * (p / q) ** 2
-        gap = beta_0 - beta_v
+        gap = beta_0 - res.beta
         worst = min(worst, gap)
-        lines.append(f"{p}/{q},{_fmt(beta_v)},{_fmt(beta_0)},{_fmt(gap)}")
+        lines.append(f"{p}/{q},{_fmt(res.beta)},{_fmt(beta_0)},{_fmt(gap)}")
     _emit(lines, args.out)
+    if not ok:
+        return EXIT_NOCONV
     return EXIT_OK if worst >= -1e-8 else EXIT_VIOLATION
 
 

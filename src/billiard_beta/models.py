@@ -172,23 +172,22 @@ def _fourth_system(dom: SupportDomain) -> TwistSystem:
     return _two_end_system("fourth", dom, edge)
 
 
+_DISK_BETA = {
+    "birkhoff": lambda rho: -2.0 * math.sin(math.pi * rho),
+    "symplectic": lambda rho: -0.5 * math.sin(2.0 * math.pi * rho),
+    "outer": lambda rho: math.tan(math.pi * rho),
+    "fourth": lambda rho: 2.0 * math.tan(math.pi * rho),
+}
+
+
 def beta_disk(tag: str, rho: float) -> float:
-    """Closed-form beta of the unit disk for each model."""
-    if tag == "birkhoff":
-        if not 0.0 < rho <= 0.5:
-            raise ValueError("rotation number out of range")
-        return -2.0 * math.sin(math.pi * rho)
-    if not 0.0 < rho < 0.5 and tag in ("outer", "fourth"):
+    """Closed-form beta of the unit disk for each model, rho in (0, 1/2]
+    (rho < 1/2 for outer and fourth, whose disk value blows up at 1/2)."""
+    if tag not in _DISK_BETA:
+        raise ValueError(f"unknown model tag: {tag!r}")
+    if not 0.0 < rho <= 0.5 or (rho == 0.5 and tag in ("outer", "fourth")):
         raise ValueError("rotation number out of range")
-    if tag == "outer":
-        return math.tan(math.pi * rho)
-    if tag == "symplectic":
-        if not 0.0 < rho <= 0.5:
-            raise ValueError("rotation number out of range")
-        return -0.5 * math.sin(2.0 * math.pi * rho)
-    if tag == "fourth":
-        return 2.0 * math.tan(math.pi * rho)
-    raise ValueError(f"unknown model tag: {tag!r}")
+    return _DISK_BETA[tag](rho)
 
 
 @dataclass(frozen=True)

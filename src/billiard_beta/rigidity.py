@@ -1,8 +1,9 @@
 """Inequality, equality-rigidity and counterexample verifiers.
 
 Each verifier compares a computed minimal average action against a scaled
-disk value (or a cross-model combination) and returns an InequalityReport
-whose `gap` is oriented so that gap >= 0 means the tested inequality holds.
+disk value (`_versus_disk`) or a cross-model combination against 0, and
+returns an InequalityReport whose `gap` is oriented so that gap >= 0 means
+the tested inequality holds.
 """
 
 from __future__ import annotations
@@ -66,12 +67,23 @@ def _report(theorem, rho, lhs, rhs, gap, converged, num_tol, eq_tol, **meta):
     )
 
 
-def _disk_beta(dom: SupportDomain, tag: str, rho: float) -> float:
-    """beta of the disk with the perimeter (birkhoff, fourth) or area
-    (symplectic, outer) of dom, the value each inequality compares with."""
+def _versus_disk(theorem, dom, tag, rho, lhs, converged, num_tol, eq_tol, **meta):
+    """Report beta `lhs` of dom's `tag` model at rho against rhs, the beta of
+    the disk with the perimeter (birkhoff, fourth) or area (symplectic, outer)
+    of dom.
+
+    gap = rhs - lhs; the outer rigidity theorems T6.4/T6.10 reverse it to
+    lhs - rhs.  CE6.5 also names the direction of lhs against rhs.
+    """
     if tag in ("birkhoff", "fourth"):
-        return perimeter(dom) / (2.0 * math.pi) * beta_disk(tag, rho)
-    return area(dom) / math.pi * beta_disk(tag, rho)
+        rhs = perimeter(dom) / (2.0 * math.pi) * beta_disk(tag, rho)
+    else:
+        rhs = area(dom) / math.pi * beta_disk(tag, rho)
+    gap = lhs - rhs if theorem in ("T6.4", "T6.10") else rhs - lhs
+    if theorem == "CE6.5":
+        meta["direction"] = "counterexample" if lhs < rhs - eq_tol else (
+            "equality" if abs(lhs - rhs) <= eq_tol else "reversed")
+    return _report(theorem, rho, lhs, rhs, gap, converged, num_tol, eq_tol, **meta)
 
 
 def verify_main_inequality(
@@ -86,10 +98,7 @@ def verify_main_inequality(
         raise ValueError(f"unknown main-inequality tag: {theorem!r}")
     tag = _MAIN_MODEL[theorem]
     lhs, residual, converged, _ = beta_at(make_system(dom, tag), rho)
-    rhs = _disk_beta(dom, tag, rho.value)
-    return _report(
-        theorem, rho.value, lhs, rhs, rhs - lhs, converged, num_tol, eq_tol, residual=residual
-    )
+    return _versus_disk(theorem, dom, tag, rho.value, lhs, converged, num_tol, eq_tol, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +212,9 @@ def gutkin_equality_check(
     delta = roots[0]
     dom = geometry.gutkin(n, eps)
     residual = equispaced_criticality_residual(dom, delta)
-    sys = make_system(dom, "birkhoff")
-    ir = beta_irrational_result(sys, delta, beta_tol)
-    rhs = _disk_beta(dom, "birkhoff", delta)
-    return _report(
-        "T4.2",
-        delta,
-        ir.value,
-        rhs,
-        rhs - ir.value,
-        ir.converged,
-        num_tol,
-        eq_tol,
-        criticality_residual=residual,
-        bracket=(ir.lower, ir.upper),
-    )
+    ir = beta_irrational_result(make_system(dom, "birkhoff"), delta, beta_tol)
+    return _versus_disk("T4.2", dom, "birkhoff", delta, ir.value, ir.converged, num_tol, eq_tol,
+                        criticality_residual=residual, bracket=(ir.lower, ir.upper))
 
 
 def width_defect(dom: SupportDomain) -> float:
@@ -235,25 +232,26 @@ def constant_width_equality(
     """Birkhoff inequality at rho = 1/2; equality characterizes constant width."""
     defect = width_defect(dom)
     res = minimize_periodic(make_system(dom, "birkhoff"), 1, 2)
-    rhs = _disk_beta(dom, "birkhoff", 0.5)
-    return _report(
-        "T4.2",
-        0.5,
-        res.beta,
-        rhs,
-        rhs - res.beta,
-        res.converged,
-        num_tol,
-        eq_tol,
-        width_defect=defect,
-        is_constant_width=bool(defect < 1e-10),
-    )
+    return _versus_disk("T4.2", dom, "birkhoff", 0.5, res.beta, res.converged, num_tol, eq_tol,
+                        width_defect=defect, is_constant_width=bool(defect < 1e-10))
 
 
-def _beta_pair(dom, p, q):
-    out = minimize_periodic(make_system(dom, "outer"), p, q)
-    symp = minimize_periodic(make_system(dom, "symplectic"), p, q)
-    return out, symp
+def _outer_plus_symplectic(theorem, dom, q, weight, num_tol, eq_tol):
+    """Report lhs = beta_out(1/q) + weight * beta_symp(1/q) against 0 (gap = -lhs).
+
+    P6.9 adds the half-area defect of the minimal outer 4-gon against the
+    polygon of its edge midpoints.
+    """
+    out = minimize_periodic(make_system(dom, "outer"), 1, q)
+    symp = minimize_periodic(make_system(dom, "symplectic"), 1, q)
+    lhs = out.beta + weight * symp.beta
+    meta = {}
+    if theorem == "P6.9":
+        poly = outer_polygon(dom, out.config)
+        midpoints = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
+        meta["half_area_defect"] = abs(poly.area - 2.0 * polygon_area(midpoints))
+    return _report(theorem, 1.0 / q, lhs, 0.0, -lhs, out.converged and symp.converged, num_tol, eq_tol,
+                   beta_outer=out.beta, beta_symplectic=symp.beta, **meta)
 
 
 def outer_third_relation(
@@ -262,20 +260,7 @@ def outer_third_relation(
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
     """beta_out(1/3) + 4 beta_symp(1/3) <= 0, equality iff period-3 invariant curve."""
-    out, symp = _beta_pair(dom, 1, 3)
-    lhs = out.beta + 4.0 * symp.beta
-    return _report(
-        "C6.3",
-        1.0 / 3.0,
-        lhs,
-        0.0,
-        -lhs,
-        out.converged and symp.converged,
-        num_tol,
-        eq_tol,
-        beta_outer=out.beta,
-        beta_symplectic=symp.beta,
-    )
+    return _outer_plus_symplectic("C6.3", dom, 3, 4.0, num_tol, eq_tol)
 
 
 def triangle_midpoint_property(dom: SupportDomain) -> float:
@@ -292,24 +277,7 @@ def outer_quarter_relation(
     eq_tol: float = EQ_TOL,
 ) -> InequalityReport:
     """beta_out(1/4) + 2 beta_symp(1/4) <= 0 plus the midpoint half-area identity."""
-    out, symp = _beta_pair(dom, 1, 4)
-    lhs = out.beta + 2.0 * symp.beta
-    poly = outer_polygon(dom, out.config)
-    midpoints = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
-    half_area_defect = abs(poly.area - 2.0 * polygon_area(midpoints))
-    return _report(
-        "P6.9",
-        0.25,
-        lhs,
-        0.0,
-        -lhs,
-        out.converged and symp.converged,
-        num_tol,
-        eq_tol,
-        beta_outer=out.beta,
-        beta_symplectic=symp.beta,
-        half_area_defect=half_area_defect,
-    )
+    return _outer_plus_symplectic("P6.9", dom, 4, 2.0, num_tol, eq_tol)
 
 
 def _outer_rotation(rho: Fraction | float) -> Fraction:
@@ -335,20 +303,7 @@ def outer_counterexample(
     """
     frac = _outer_rotation(rho)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
-    rhs = _disk_beta(dom, "outer", float(frac))
-    return _report(
-        "CE6.5",
-        float(frac),
-        res.beta,
-        rhs,
-        rhs - res.beta,
-        res.converged,
-        num_tol,
-        eq_tol,
-        direction="counterexample" if res.beta < rhs - eq_tol else (
-            "equality" if abs(res.beta - rhs) <= eq_tol else "reversed"
-        ),
-    )
+    return _versus_disk("CE6.5", dom, "outer", float(frac), res.beta, res.converged, num_tol, eq_tol)
 
 
 def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> float:
@@ -381,19 +336,8 @@ def outer_rigidity_theorem(
     theorem = "T6.4" if frac.denominator == 3 else "T6.10"
     spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
-    rhs = _disk_beta(dom, "outer", float(frac))
-    return _report(
-        theorem,
-        float(frac),
-        res.beta,
-        rhs,
-        res.beta - rhs,
-        res.converged,
-        num_tol,
-        eq_tol,
-        orbit_spread=spread,
-        hypothesis_certified=bool(spread < 1e-8),
-    )
+    return _versus_disk(theorem, dom, "outer", float(frac), res.beta, res.converged, num_tol, eq_tol,
+                        orbit_spread=spread, hypothesis_certified=bool(spread < 1e-8))
 
 
 # ---------------------------------------------------------------------------

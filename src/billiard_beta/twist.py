@@ -581,6 +581,8 @@ def make_toy_system(cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float
     The shorter coefficient list is padded with zeros; no coefficients give
     V = 0 and beta = rho^2 / 2.  The jet builds one cos/sin table of x0.
     """
+    if not np.isfinite([*cos_coeffs, *sin_coeffs]).all():
+        raise ValueError("toy potential coefficients must be finite")
     n = max(len(cos_coeffs), len(sin_coeffs))
     cos_c, sin_c = np.zeros(n), np.zeros(n)
     cos_c[: len(cos_coeffs)] = cos_coeffs

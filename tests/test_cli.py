@@ -273,6 +273,12 @@ class TestToyCommand:
         gaps = [float(l.split(",")[3]) for l in out.strip().splitlines()[1:]]
         assert min(gaps) >= 0.0 and max(gaps) > 1e-6
 
+    def test_unconverged_solve_exits_3(self, capsys):
+        # A strong potential leaves 1/10 and 1/9 unconverged; the table is still written.
+        code, out = run(capsys, "toy", "--vcos", "5", "--qmax", "10")
+        assert code == 3
+        assert out.startswith("rho,beta_V,beta_0,gap\n") and "1/10," in out
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys, tmp_path):
@@ -377,6 +383,8 @@ class TestExitCodes:
             (["verify", "--theorem", "T4.2"], "--theorem T4.2 needs --domain"),
             (["beta", "--domain", "disk:1", "--model", "birkhoff,", "--rot", "1/3"],
              "--model has an empty comma field: 'birkhoff,'"),
+            (["toy", "--qmax", "3", "--vcos", "nan"], "toy potential coefficients must be finite"),
+            (["toy", "--qmax", "3", "--vsin", "inf"], "toy potential coefficients must be finite"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):
@@ -385,6 +393,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["toy"], ["sweep", "--domain", "disk:1", "--model", "birkhoff"]])
+    def test_qmax_above_cap_fails_before_the_grid(self, capsys, monkeypatch, command):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("built the Farey grid before --qmax was checked")
+
+        monkeypatch.setattr(cli, "farey_fractions", no_grid)
+        assert main([*command, "--qmax", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--qmax 100000 exceeds q_max = {twist.Q_MAX}" in captured.err
 
     @pytest.mark.parametrize("command", [["beta", "--rot", "1/3"], ["sweep", "--qmax", "3"]])
     def test_unknown_model_fails_before_any_solve(self, capsys, monkeypatch, command):

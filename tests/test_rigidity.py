@@ -239,6 +239,14 @@ class TestCounterexample:
         rep = outer_counterexample(ellipse(2, 1), Fraction(1, 3))
         assert rep.equality and abs(rep.gap) < 1e-7
 
+    def test_ellipse_third_direction_is_equality(self):
+        assert outer_counterexample(ellipse(2, 1), Fraction(1, 3)).meta["direction"] == "equality"
+
+    def test_gutkin_third_direction_is_reversed(self):
+        rep = outer_counterexample(gutkin(4, 0.05), Fraction(1, 3))
+        assert rep.meta["direction"] == "reversed"
+        assert rep.gap == pytest.approx(-0.0251, abs=1e-4)
+
     def test_rejects_other_rationals(self):
         with pytest.raises(ValueError):
             outer_counterexample(disk(1.0), Fraction(1, 5))
@@ -294,4 +302,27 @@ class TestReportShape:
     def test_gap_orientation(self):
         rep = verify_main_inequality(gutkin(4, 0.05), "T4.2", rho(1, 3))
         assert rep.gap == pytest.approx(rep.rhs - rep.lhs)
+        assert rep.holds == (rep.gap >= -1e-8)
+
+    @pytest.mark.parametrize(
+        "verify, orientation",
+        [
+            (lambda: verify_main_inequality(squeezed_disk(0.1), "T4.3", rho(2, 5)), "rhs - lhs"),
+            (lambda: gutkin_equality_check(4, 0.05), "rhs - lhs"),
+            (lambda: constant_width_equality(ellipse(2, 1)), "rhs - lhs"),
+            (lambda: outer_counterexample(gutkin(4, 0.05), Fraction(1, 3)), "rhs - lhs"),
+            (lambda: outer_rigidity_theorem(squeezed_disk(0.1), Fraction(1, 3)), "lhs - rhs"),
+            (lambda: outer_rigidity_theorem(squeezed_disk(0.1), Fraction(1, 4)), "lhs - rhs"),
+            (lambda: outer_third_relation(gutkin(4, 0.05)), "-lhs"),
+            (lambda: outer_quarter_relation(squeezed_disk(0.1)), "-lhs"),
+        ],
+        ids=["T4.3", "gutkin", "constwidth", "CE6.5", "T6.4", "T6.10", "C6.3", "P6.9"],
+    )
+    def test_gap_orientation_of_every_verifier(self, verify, orientation):
+        rep = verify()
+        assert rep.gap != 0.0  # a zero gap would pin no orientation
+        if orientation == "-lhs":
+            assert rep.rhs == 0.0 and rep.gap == -rep.lhs
+        else:
+            assert rep.gap == (rep.rhs - rep.lhs if orientation == "rhs - lhs" else rep.lhs - rep.rhs)
         assert rep.holds == (rep.gap >= -1e-8)
