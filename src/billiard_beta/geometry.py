@@ -198,13 +198,8 @@ def perimeter(dom: SupportDomain) -> float:
 
 
 def area(dom: SupportDomain) -> float:
-    """Enclosed area via the support identity |Omega| = 1/2 int (h^2 - h'^2)."""
-    h, hp = support_jet(dom, dom.grid(), 1)
-    return float(0.5 * np.mean(h * h - hp * hp) * TWO_PI)
-
-
-def area_fourier(dom: SupportDomain) -> float:
-    """Closed-form area for the pure Fourier representation (cross-check)."""
+    """Enclosed area pi (a0^2 + 1/2 sum (1 - n^2)(a_n^2 + b_n^2)): the support
+    identity |Omega| = 1/2 int (h^2 - h'^2) summed mode by mode (Parseval)."""
     n = np.arange(1, dom.n_modes + 1, dtype=float)
     return math.pi * (dom.a0**2 + 0.5 * float(((1 - n * n) * (dom.an**2 + dom.bn**2)).sum()))
 

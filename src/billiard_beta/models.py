@@ -18,10 +18,11 @@ period 2*pi.  Orbit polygons are recovered per model:
 
 The twist condition S12 < 0 holds on each model's admissible strip.
 
-Each model is one jet function (see `TwistSystem`): it evaluates the support
-jet once per edge end (once at the chord midpoint for Birkhoff).  The three
-two-end models are one edge formula of the gap d = x1 - x0, with a, b the
-support jets at x0, x1 and r = h + h'' the radius of curvature:
+Each model is one jet of S and its five partials (see `TwistSystem`): it
+evaluates the support jet once per edge end (once at the chord midpoint for
+Birkhoff).  The three two-end models are one edge formula of the gap
+d = x1 - x0, with a, b the support jets at x0, x1 and r = h + h'' the radius
+of curvature:
 
   symplectic  S = -1/2 [(a b + a' b') sin d + (a b' - a' b) cos d],
               S1 = 1/2 r0 (b cos d - b' sin d), S2 = -1/2 r1 (a cos d + a' sin d),
@@ -69,105 +70,94 @@ def make_system(dom: SupportDomain, tag: str) -> TwistSystem:
 
 
 def _birkhoff_system(dom: SupportDomain) -> TwistSystem:
-    def jet(x0, x1, order):
+    def jet(x0, x1):
         x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
-        h = support_jet(dom, 0.5 * (x0 + x1), order)
+        h = support_jet(dom, 0.5 * (x0 + x1), 2)
         d = 0.5 * (x1 - x0)
         s, c = np.sin(d), np.cos(d)
-        out = [-2.0 * h[0] * s]
-        if order >= 1:
-            out += [-h[1] * s + h[0] * c, -h[1] * s - h[0] * c]
-        if order >= 2:
-            out += [
-                0.5 * (-h[2] * s + 2.0 * h[1] * c + h[0] * s),
-                -0.5 * (h[0] + h[2]) * s,
-                0.5 * (-h[2] * s - 2.0 * h[1] * c + h[0] * s),
-            ]
-        return out
+        return [
+            -2.0 * h[0] * s,
+            -h[1] * s + h[0] * c,
+            -h[1] * s - h[0] * c,
+            0.5 * (-h[2] * s + 2.0 * h[1] * c + h[0] * s),
+            -0.5 * (h[0] + h[2]) * s,
+            0.5 * (-h[2] * s - 2.0 * h[1] * c + h[0] * s),
+        ]
 
     return TwistSystem(TWO_PI, TWO_PI, jet, name="birkhoff")
 
 
 def _two_end_system(name, dom, edge) -> TwistSystem:
-    """System whose jet is edge(a, b, d, order), with a, b the support jets of
-    order + 1 at x0, x1 and d = x1 - x0 the gap.
+    """System whose jet is edge(a, b, d), with a, b the support jets
+    [h, h', h'', h'''] at x0, x1 and d = x1 - x0 the gap.
 
     On a closed configuration the support jet runs once, on x: the x_{k+1} end
     is its cyclic shift, since h is 2 pi-periodic.
     """
 
-    def jet(x0, x1, order):
+    def jet(x0, x1):
         d = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)
-        return edge(support_jet(dom, x0, order + 1), support_jet(dom, x1, order + 1), d, order)
+        return edge(support_jet(dom, x0), support_jet(dom, x1), d)
 
-    def cyclic_jet(x, p, order):
-        a = support_jet(dom, x, order + 1)
-        return edge(a, _roll(a, -1), _closed(x, p, TWO_PI) - x, order)
+    def cyclic_jet(x, p):
+        a = support_jet(dom, x)
+        return edge(a, _roll(a, -1), _closed(x, p, TWO_PI) - x)
 
     return TwistSystem(TWO_PI, math.pi, jet, name=name, cyclic_jet=cyclic_jet)
 
 
 def _symplectic_system(dom: SupportDomain) -> TwistSystem:
     # gamma = h n + h' tau and gamma' = r tau in the frame n = (cos, sin), tau = n'
-    def edge(a, b, d, order):
+    def edge(a, b, d):
         s, c = np.sin(d), np.cos(d)
-        out = [-0.5 * ((a[0] * b[0] + a[1] * b[1]) * s + (a[0] * b[1] - a[1] * b[0]) * c)]
-        if order >= 1:
-            r0, r1 = a[0] + a[2], b[0] + b[2]
-            u, v = b[0] * c - b[1] * s, a[0] * c + a[1] * s
-            out += [0.5 * r0 * u, -0.5 * r1 * v]
-        if order >= 2:
-            out += [
-                0.5 * ((a[1] + a[3]) * u + r0 * (b[0] * s + b[1] * c)),
-                -0.5 * r0 * r1 * s,
-                -0.5 * ((b[1] + b[3]) * v + r1 * (a[1] * c - a[0] * s)),
-            ]
-        return out
+        r0, r1 = a[0] + a[2], b[0] + b[2]
+        u, v = b[0] * c - b[1] * s, a[0] * c + a[1] * s
+        return [
+            -0.5 * ((a[0] * b[0] + a[1] * b[1]) * s + (a[0] * b[1] - a[1] * b[0]) * c),
+            0.5 * r0 * u,
+            -0.5 * r1 * v,
+            0.5 * ((a[1] + a[3]) * u + r0 * (b[0] * s + b[1] * c)),
+            -0.5 * r0 * r1 * s,
+            -0.5 * ((b[1] + b[3]) * v + r1 * (a[1] * c - a[0] * s)),
+        ]
 
     return _two_end_system("symplectic", dom, edge)
 
 
 def _outer_system(dom: SupportDomain) -> TwistSystem:
     # area of the wedge (O, gamma(x0), M, gamma(x1)) with M the tangent intersection
-    def edge(a, b, d, order):
+    def edge(a, b, d):
         inv_s = 1.0 / np.sin(d)
         cot = np.cos(d) * inv_s
         lam0 = -a[1] + b[0] * inv_s - a[0] * cot
         lam1 = b[1] + a[0] * inv_s - b[0] * cot
-        out = [0.5 * (a[0] * lam0 + b[0] * lam1)]
-        if order >= 1:
-            r0, r1 = a[0] + a[2], b[0] + b[2]
-            out += [-0.5 * (lam0 * lam0 + a[0] * r0), 0.5 * (lam1 * lam1 + b[0] * r1)]
-        if order >= 2:
-            out += [
-                lam0 * (r0 - lam0 * cot) - 0.5 * (a[1] * r0 + a[0] * (a[1] + a[3])),
-                -lam0 * lam1 * inv_s,
-                lam1 * (r1 - lam1 * cot) + 0.5 * (b[1] * r1 + b[0] * (b[1] + b[3])),
-            ]
-        return out
+        r0, r1 = a[0] + a[2], b[0] + b[2]
+        return [
+            0.5 * (a[0] * lam0 + b[0] * lam1),
+            -0.5 * (lam0 * lam0 + a[0] * r0),
+            0.5 * (lam1 * lam1 + b[0] * r1),
+            lam0 * (r0 - lam0 * cot) - 0.5 * (a[1] * r0 + a[0] * (a[1] + a[3])),
+            -lam0 * lam1 * inv_s,
+            lam1 * (r1 - lam1 * cot) + 0.5 * (b[1] * r1 + b[0] * (b[1] + b[3])),
+        ]
 
     return _two_end_system("outer", dom, edge)
 
 
 def _fourth_system(dom: SupportDomain) -> TwistSystem:
-    def edge(a, b, d, order):
+    def edge(a, b, d):
         tan = np.tan(0.5 * d)
         total = a[0] + b[0]
-        out = [b[1] - a[1] + total * tan]
-        if order >= 1:
-            sec2 = 1.0 + tan * tan
-            out += [
-                -a[2] + a[1] * tan - 0.5 * total * sec2,
-                b[2] + b[1] * tan + 0.5 * total * sec2,
-            ]
-        if order >= 2:
-            mixed = 0.5 * total * sec2 * tan
-            out += [
-                -a[3] + a[2] * tan - a[1] * sec2 + mixed,
-                0.5 * sec2 * (a[1] - b[1]) - mixed,
-                b[3] + b[2] * tan + b[1] * sec2 + mixed,
-            ]
-        return out
+        sec2 = 1.0 + tan * tan
+        mixed = 0.5 * total * sec2 * tan
+        return [
+            b[1] - a[1] + total * tan,
+            -a[2] + a[1] * tan - 0.5 * total * sec2,
+            b[2] + b[1] * tan + 0.5 * total * sec2,
+            -a[3] + a[2] * tan - a[1] * sec2 + mixed,
+            0.5 * sec2 * (a[1] - b[1]) - mixed,
+            b[3] + b[2] * tan + b[1] * sec2 + mixed,
+        ]
 
     return _two_end_system("fourth", dom, edge)
 

@@ -195,7 +195,7 @@ def equispaced_criticality_residual(dom: SupportDomain, rho: float) -> float:
     jet = make_system(dom, "birkhoff").jet
     gap = 2.0 * math.pi * rho
     x = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False) + 0.5 * gap
-    return float(np.abs(jet(x - gap, x, 1)[2] + jet(x, x + gap, 1)[1]).max())
+    return float(np.abs(jet(x - gap, x)[2] + jet(x, x + gap)[1]).max())
 
 
 def gutkin_equality_check(

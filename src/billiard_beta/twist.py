@@ -25,15 +25,14 @@ import numpy as np
 class TwistSystem:
     """Generating-function system on a periodic parameter line.
 
-    jet(x0, x1, order) evaluates the generating function and its partials on
-    numpy arrays of edge ends: [S] for order 0, [S, S1, S2] for order 1 and
-    [S, S1, S2, S11, S12, S22] for order 2.  S must satisfy
+    jet(x0, x1) evaluates the generating function and its partials on numpy
+    arrays of edge ends: [S, S1, S2, S11, S12, S22].  S must satisfy
     S(x0 + period, x1 + period) = S(x0, x1) and have negative mixed second
     derivative (positive twist) on the admissible strip 0 < x1 - x0 < max_gap.
 
-    cyclic_jet(x, p, order), the only jet the engine calls, equals
-    jet(x, _closed(x, p, period), order) on configurations x (last axis), and
-    is that by default.  A model may compute it from one evaluation on x.
+    cyclic_jet(x, p), the only jet the engine calls, equals
+    jet(x, _closed(x, p, period)) on configurations x (last axis), and is
+    that by default.  A model may compute it from one evaluation on x.
     """
 
     period: float
@@ -49,7 +48,7 @@ class TwistSystem:
     def __post_init__(self):
         if self.cyclic_jet is None:
             jet, period = self.jet, self.period
-            object.__setattr__(self, "cyclic_jet", lambda x, p, order: jet(x, _closed(x, p, period), order))
+            object.__setattr__(self, "cyclic_jet", lambda x, p: jet(x, _closed(x, p, period)))
 
 
 @dataclass(frozen=True)
@@ -188,28 +187,22 @@ def _require_gaps(sys: TwistSystem, cfg: Configuration) -> None:
 
 def action(sys: TwistSystem, cfg: Configuration) -> float:
     _require_gaps(sys, cfg)
-    return float(_evaluate(sys, cfg.points, cfg.winding, 0)[0])
+    return float(_evaluate(sys, cfg.points, cfg.winding)[0])
 
 
 def action_gradient(sys: TwistSystem, cfg: Configuration) -> np.ndarray:
     _require_gaps(sys, cfg)
-    return _evaluate(sys, cfg.points, cfg.winding, 1)[1]
+    return _evaluate(sys, cfg.points, cfg.winding)[1]
 
 
-def _evaluate(sys: TwistSystem, x: np.ndarray, p: int, order: int) -> list:
+def _evaluate(sys: TwistSystem, x: np.ndarray, p: int) -> list:
     """Periodic action of the configurations x (last axis) from one cyclic jet.
 
-    Returns [A] for order 0, [A, grad] for order 1 and [A, grad, diag, e] for
-    order 2, where diag and e are the diagonal and the cyclic off-diagonal
-    (e[k] couples x_k and x_{k+1}) of the action Hessian.
+    Returns [A, grad, diag, e], where diag and e are the diagonal and the
+    cyclic off-diagonal (e[k] couples x_k and x_{k+1}) of the action Hessian.
     """
-    jet = sys.cyclic_jet(x, p, order)
-    out = [np.sum(jet[0], axis=-1)]
-    if order >= 1:
-        out.append(jet[1] + _roll(jet[2], 1))
-    if order >= 2:
-        out += [jet[3] + _roll(jet[5], 1), jet[4]]
-    return out
+    S, S1, S2, S11, S12, S22 = sys.cyclic_jet(x, p)
+    return [np.sum(S, axis=-1), S1 + _roll(S2, 1), S11 + _roll(S22, 1), S12]
 
 
 def _strip(sys):
@@ -300,15 +293,15 @@ def _newton_phase(sys, x, p, pin=False):
     length t starts at the feasible fraction and halves until the trial point
     meets the Armijo test A(x + t delta) <= A + 1e-4 t grad.delta or lowers
     the max-norm residual; once halving no longer moves x, the solve stops
-    unconverged.  One order-2 evaluation per trial point gives the action,
-    gradient and Hessian.  With pin, x_0 never moves: its gradient and both
-    its couplings are 0 and its Hessian row is the identity, so its step is
-    0.  Returns (x, action, residual, converged).
+    unconverged.  One evaluation per trial point gives the action, gradient
+    and Hessian.  With pin, x_0 never moves: its gradient and both its
+    couplings are 0 and its Hessian row is the identity, so its step is 0.
+    Returns (x, action, residual, converged).
     """
     q = x.size
 
     def evaluate(x):
-        act, grad, diag, e = _evaluate(sys, x, p, 2)
+        act, grad, diag, e = _evaluate(sys, x, p)
         if pin:
             grad[0], diag[0], e[0], e[-1] = 0.0, 1.0, 0.0, 0.0
         return act, grad, diag, e, float(np.abs(grad).max())
@@ -493,10 +486,11 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
     The chord through the two evaluated convergents straddling omega is an
     upper bound; the chord through the two nearest convergents on one side,
     extrapolated to omega, is a lower bound.  Convergents whose equispaced
-    gap is inadmissible for the system are skipped.  Each convergent after
-    the first is solved by Newton from the previous one's minimizer, and also
-    from scratch when that seed is not ordered or does not converge
-    (_minimize_seeded).  The bracket is
+    gap is inadmissible for the system are skipped; unless the admissible
+    ones with q <= Q_MAX lie on both sides of omega, ValueError is raised
+    before any solve.  Each convergent after the first is solved by Newton
+    from the previous one's minimizer, and also from scratch when that seed
+    is not ordered or does not converge (_minimize_seeded).  The bracket is
     converged when it is narrower than tol, every convergent converged and
     lower <= upper up to TOL * (1 + |upper|).  An omega that is an exact
     fraction is solved as that rational and keeps its converged flag.
@@ -509,15 +503,15 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
         val = sol.beta
         return IrrationalBetaResult(val, val, val, sol.converged, ((frac.numerator, frac.denominator, val),))
 
+    admissible = [(p, q) for p, q in convergents(omega, Q_MAX) if not _inadmissible(sys, p, q)]
+    if not (any(p / q < omega for p, q in admissible) and any(p / q > omega for p, q in admissible)):
+        raise ValueError(f"no admissible convergents with q <= q_max = {Q_MAX} bracket {omega!r}")
     # Convergents approach omega from alternate sides, each nearer than the
     # earlier ones on its side: (rho, beta) per side, nearest last.
     evals = []
     below, above = [], []
-    best = (math.nan, math.nan)
     prev, all_converged = None, True
-    for p, q in convergents(omega, Q_MAX):
-        if _inadmissible(sys, p, q):
-            continue
+    for p, q in admissible:
         sol = _minimize_seeded(sys, p, q, prev)
         prev, b = sol.config, sol.beta
         all_converged = all_converged and sol.converged
@@ -535,12 +529,10 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
             if len(side) >= 2:
                 (r1, b1), (r2, b2) = side[-1], side[-2]
                 lower = max(lower, b1 + (b2 - b1) * (omega - r1) / (r2 - r1))
-        best = (lower, upper)
         if upper - lower < tol:
             ok = all_converged and lower <= upper + TOL * (1.0 + abs(upper))
             return IrrationalBetaResult(0.5 * (lower + upper), lower, upper, ok, tuple(evals))
-    lower, upper = best
-    value = upper if math.isinf(lower) or math.isnan(lower) else 0.5 * (lower + upper)
+    value = upper if math.isinf(lower) else 0.5 * (lower + upper)
     return IrrationalBetaResult(value, lower, upper, False, tuple(evals))
 
 
@@ -569,9 +561,9 @@ def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -
     if float(frac) == float(omega):
         q = frac.denominator
         x = x0 + np.arange(q) * gap
-        return float(np.mean(sys.jet(x, x + gap, 0)[0]))
+        return float(np.mean(sys.jet(x, x + gap)[0]))
     t = np.linspace(0.0, sys.period, 4096, endpoint=False)
-    return float(np.mean(sys.jet(t + x0, t + x0 + gap, 0)[0]))
+    return float(np.mean(sys.jet(t + x0, t + x0 + gap)[0]))
 
 
 def make_toy_system(cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float] = ()) -> TwistSystem:
@@ -589,17 +581,19 @@ def make_toy_system(cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float
     sin_c[: len(sin_coeffs)] = sin_coeffs
     k = 2.0 * math.pi * np.arange(1, n + 1)
 
-    def jet(x0, x1, order):
+    def jet(x0, x1):
         v = x1 - x0
         ang = np.multiply.outer(np.asarray(x0, dtype=float), k)
         cos, sin = np.cos(ang), np.sin(ang)
-        out = [0.5 * v * v + (cos @ cos_c + sin @ sin_c)]
-        if order >= 1:
-            out += [-v + (-sin @ (k * cos_c) + cos @ (k * sin_c)), v]
-        if order >= 2:
-            one = np.ones_like(v)
-            out += [one + (-cos @ (k * k * cos_c) - sin @ (k * k * sin_c)), -one, one]
-        return out
+        one = np.ones_like(v)
+        return [
+            0.5 * v * v + (cos @ cos_c + sin @ sin_c),
+            -v + (-sin @ (k * cos_c) + cos @ (k * sin_c)),
+            v,
+            one + (-cos @ (k * k * cos_c) - sin @ (k * k * sin_c)),
+            -one,
+            one,
+        ]
 
     return TwistSystem(1.0, math.inf, jet, name="toy")
 

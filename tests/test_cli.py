@@ -21,6 +21,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def json_lines(out):
+    """Each stdout line parsed as strict JSON: NaN, Infinity and -Infinity raise."""
+    return [json.loads(line, parse_constant=reject_constant) for line in out.splitlines()]
+
+
 class TestImports:
     def test_cli_import_leaves_out_scipy(self):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -75,7 +84,7 @@ class TestBetaCommand:
             "--format", "json",
         )
         assert code == 0
-        payload = json.loads(out.strip())
+        [payload] = json_lines(out)
         assert payload["beta"] == pytest.approx(-0.5, abs=1e-9)
         assert payload["converged"]
 
@@ -131,19 +140,20 @@ class TestVerifyCommand:
     def test_t43_ellipse_equality(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "T4.3", "--domain", "ellipse:2,1", "--rot", "1/3")
         assert code == 0
-        payload = json.loads(out.strip())
+        [payload] = json_lines(out)
         assert payload["equality"] and payload["holds"]
 
     def test_counterexample_squeezed(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "CE6.5", "--domain", "squeezed:0.1")
         assert code == 0
-        payload = json.loads(out.strip())
+        [payload] = json_lines(out)
         assert payload["direction"] == "counterexample"
 
     def test_c63_disk(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "C6.3", "--domain", "disk:1")
         assert code == 0
-        assert json.loads(out.strip())["equality"]
+        [payload] = json_lines(out)
+        assert payload["equality"]
 
     def test_gutkin(self, capsys):
         code, out = run(
@@ -151,7 +161,8 @@ class TestVerifyCommand:
             "--gutkin-n", "4", "--gutkin-eps", "0.02",
         )
         assert code == 0
-        assert json.loads(out.strip())["equality"]
+        [payload] = json_lines(out)
+        assert payload["equality"]
 
     def test_gutkin_needs_no_domain(self, capsys):
         outputs = [run(capsys, "verify", "--theorem", "gutkin", *extra) for extra in ([], ["--domain", "disk:1"])]
@@ -164,7 +175,8 @@ class TestVerifyCommand:
         for extra in ([], ["--tol", "1e-3"]):
             code, out = run(capsys, *argv, *extra)
             assert code == 0
-            brackets.append(json.loads(out.strip())["bracket"])
+            [payload] = json_lines(out)
+            brackets.append(payload["bracket"])
         lo, hi = brackets[1]
         assert hi - lo < 1e-3
         assert brackets[1] != brackets[0]
@@ -176,7 +188,8 @@ class TestVerifyCommand:
         for extra, equality in (([], True), (["--eq-tol", "1e-12"], False)):
             code, out = run(capsys, *argv, *extra)
             assert code == 0
-            assert json.loads(out.strip())["equality"] is equality
+            [payload] = json_lines(out)
+            assert payload["equality"] is equality
 
     def test_constwidth(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "constwidth", "--domain", "constwidth:0.05,3")
@@ -185,14 +198,14 @@ class TestVerifyCommand:
     def test_t610_disk(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "T6.10", "--domain", "disk:1")
         assert code == 0
-        payload = json.loads(out.strip())
+        [payload] = json_lines(out)
         assert payload["theorem"] == "T6.10" and payload["rho"] == 0.25
         assert payload["hypothesis_certified"] and payload["equality"]
 
     def test_p69_disk_equality(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "P6.9", "--domain", "disk:1")
         assert code == 0
-        payload = json.loads(out.strip())
+        [payload] = json_lines(out)
         assert payload["theorem"] == "P6.9" and payload["equality"] and payload["converged"]
         assert payload["beta_outer"] == pytest.approx(1.0, abs=1e-9)
         assert payload["beta_symplectic"] == pytest.approx(-0.5, abs=1e-9)
@@ -204,7 +217,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "verify_main_inequality", unconverged)
         code, out = run(capsys, "verify", "--theorem", "T4.3", "--domain", "ellipse:2,1")
         assert code == 3
-        payload = json.loads(out.strip())
+        [payload] = json_lines(out)
         assert payload["holds"] and not payload["converged"]
 
     def test_radon_violation_exit(self, capsys):
@@ -385,6 +398,9 @@ class TestExitCodes:
              "--model has an empty comma field: 'birkhoff,'"),
             (["toy", "--qmax", "3", "--vcos", "nan"], "toy potential coefficients must be finite"),
             (["toy", "--qmax", "3", "--vsin", "inf"], "toy potential coefficients must be finite"),
+            (["beta", "--domain", "disk:1", "--rot", "0.4999912345"], "q_max = 2000"),
+            (["beta", "--domain", "disk:1", "--rot", "0.00033312345678"], "q_max = 2000"),
+            (["verify", "--theorem", "T4.2", "--domain", "disk:1", "--rot", "0.4999912345"], "q_max = 2000"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from billiard_beta import geometry
+from billiard_beta import geometry, rigidity
 from billiard_beta.geometry import (
     AffineMap,
     SupportDomain,
     affine_image,
     area,
-    area_fourier,
     boundary_point,
     boundary_xy,
     constant_width,
@@ -31,6 +30,12 @@ def mode4(eps=0.05):
     an = np.zeros(4)
     an[3] = eps
     return SupportDomain(1.0, an, np.zeros(4))
+
+
+def quadrature_area(dom):
+    """1/2 int (h^2 - h'^2), the trapezoid rule on the domain grid."""
+    h, hp = geometry.support_jet(dom, dom.grid(), 1)
+    return float(0.5 * np.mean(h * h - hp * hp) * TWO_PI)
 
 
 def ellipse_perimeter_quadrature(a, b, n=200_000):
@@ -109,7 +114,19 @@ class TestPerimeterArea:
     def test_mode4_area_closed_form(self):
         want = math.pi * (1 - 15 * 0.05**2 / 2)
         assert area(mode4()) == pytest.approx(want, abs=1e-12)
-        assert area_fourier(mode4()) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["random", "ellipse", "squeezed", "gutkin"])
+    def test_closed_forms_match_quadrature(self, family):
+        doms = {
+            "random": rigidity.sample_random_domains(6, 2),
+            "ellipse": [ellipse(2.0, 1.0), ellipse(1.5, 0.8)],
+            "squeezed": [squeezed_disk(0.1), squeezed_disk(0.2, 0.5)],
+            "gutkin": [gutkin(4, 0.05), gutkin(7, 0.015), constant_width(0.05)],
+        }[family]
+        for dom in doms:
+            # Cauchy's closed form 2 pi a0 and the support identity on the grid
+            assert perimeter(dom) == pytest.approx(TWO_PI * dom.a0, abs=1e-13)
+            assert area(dom) == pytest.approx(quadrature_area(dom), abs=1e-13)
 
     def test_ellipse_perimeter_against_arclength(self):
         dom = ellipse(2.0, 1.0)

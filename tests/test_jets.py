@@ -114,25 +114,26 @@ def edges(rng, system, shape):
 class TestModelJet:
     @pytest.mark.parametrize("system", systems())
     def test_views_are_jet_components(self, system):
-        # the jet of order 0, 1, 2 returns its 1, 3, 6 components
+        # the jet returns S and its five partials, each shaped like the edges
         x0, x1 = edges(np.random.default_rng(3), system, (4, 6))
-        for order, size in ((0, 1), (1, 3), (2, 6)):
-            assert len(system.jet(x0, x1, order)) == size
+        values = system.jet(x0, x1)
+        assert len(values) == 6
+        assert all(np.shape(v) == (4, 6) for v in values)
 
     @pytest.mark.parametrize("system", model_systems(), ids=lambda s: s.name)
     def test_scalar_edges(self, system):
-        values = system.jet(0.3, 0.3 + 0.5 * system.max_gap, 2)
+        values = system.jet(0.3, 0.3 + 0.5 * system.max_gap)
         assert all(np.ndim(v) == 0 for v in values)
 
     @pytest.mark.parametrize("system", systems())
     def test_partials_match_central_differences(self, system):
         x0, x1 = edges(np.random.default_rng(5), system, 40)
         step = 1e-6
-        S, S1, S2, S11, S12, S22 = system.jet(x0, x1, 2)
+        S, S1, S2, S11, S12, S22 = system.jet(x0, x1)
 
         def diff(index, d0, d1):
-            plus = system.jet(x0 + d0, x1 + d1, 1)[index]
-            minus = system.jet(x0 - d0, x1 - d1, 1)[index]
+            plus = system.jet(x0 + d0, x1 + d1)[index]
+            minus = system.jet(x0 - d0, x1 - d1)[index]
             return (plus - minus) / (2 * step)
 
         assert_close(S1, diff(0, step, 0.0), 1e-6)
@@ -155,12 +156,11 @@ class TestCyclicJet:
         for shape in ((4, q), (q,)):
             x0 = rng.uniform(-3 * system.period, 3 * system.period, shape[:-1] + (1,))
             x = x0 + base + rng.uniform(-0.05, 0.05, shape) * (system.period / q)
-            for order in (0, 1, 2):
-                got = system.cyclic_jet(x, p, order)
-                want = system.jet(x, _closed(x, p, system.period), order)
-                assert len(got) == len(want) == (1, 3, 6)[order]
-                for g, w in zip(got, want):
-                    assert_close(g, w, 1e-12)
+            got = system.cyclic_jet(x, p)
+            want = system.jet(x, _closed(x, p, system.period))
+            assert len(got) == len(want) == 6
+            for g, w in zip(got, want):
+                assert_close(g, w, 1e-12)
 
 
 def oracle_edge(dom, t):
@@ -202,7 +202,7 @@ def test_jet_matches_geometric_oracle(tag, gap):
     for dom in rigidity.sample_random_domains(2, seed=8):
         x0 = float(rng.uniform(0.0, TWO_PI))
         x1 = x0 + gap
-        got = make_system(dom, tag).jet(x0, x1, 2)
+        got = make_system(dom, tag).jet(x0, x1)
         with mpmath.workdps(40):
             t0, t1 = mpmath.mpf(x0), mpmath.mpf(x1)
             for value, orders in zip(got, ORACLE_PARTIALS):

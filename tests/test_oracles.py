@@ -156,7 +156,7 @@ class TestGutkinBirkhoffExpansion:
         for phase in (0.0, 0.3, 1.1):
             x = phase + np.arange(3) * (TWO_PI / 3)
             xn = np.append(x[1:], x[0] + TWO_PI)
-            total = float(np.sum(sys.jet(x, xn, 0)[0]))
+            total = float(np.sum(sys.jet(x, xn)[0]))
             assert total == pytest.approx(-3 * math.sqrt(3.0), abs=1e-12)
 
     def test_beta_below_disk_value(self):

@@ -113,7 +113,7 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         q, p = 5, 2
         x = 0.4 + np.arange(q) * (p * 2 * math.pi / q) + rng.uniform(-0.1, 0.1, q)
-        act, grad, diag, e = _evaluate(sys, x, p, 2)
+        act, grad, diag, e = _evaluate(sys, x, p)
         assert act == pytest.approx(action(sys, Configuration(x, p, 2 * math.pi)), abs=1e-12)
         assert np.allclose(grad, action_gradient(sys, Configuration(x, p, 2 * math.pi)), atol=1e-12)
         hess = np.diag(diag)
@@ -124,7 +124,7 @@ class TestEvaluate:
         for k in range(q):
             dx = np.zeros(q)
             dx[k] = step
-            column = (_evaluate(sys, x + dx, p, 1)[1] - _evaluate(sys, x - dx, p, 1)[1]) / (2 * step)
+            column = (_evaluate(sys, x + dx, p)[1] - _evaluate(sys, x - dx, p)[1]) / (2 * step)
             assert np.allclose(hess[:, k], column, atol=1e-6)
 
 
@@ -185,7 +185,7 @@ class TestMinimizePeriodic:
 
         def unconverged(sys, x, p, pin=False):
             res = next(residuals)
-            return x, float(_evaluate(sys, x, p, 0)[0]), res, False
+            return x, float(_evaluate(sys, x, p)[0]), res, False
 
         monkeypatch.setattr(twist, "_newton_phase", unconverged)
         res = minimize_periodic(sys, 1, 3)
@@ -193,7 +193,7 @@ class TestMinimizePeriodic:
         assert res.grad_residual == 1e-4
         row = _hull_rows(Configuration([0.0], 1, 2 * math.pi), 1, 3)[1]
         assert np.array_equal(res.config.points, row)
-        assert res.beta == float(_evaluate(sys, row, 1, 0)[0]) / 3
+        assert res.beta == float(_evaluate(sys, row, 1)[0]) / 3
 
     def test_deterministic(self):
         sys = make_system(ellipse(2, 1), "symplectic")
@@ -213,7 +213,7 @@ class TestMinimizePeriodic:
         res = minimize_periodic(sys, p, q)
         assert res.converged
         assert abs(res.beta - want) < 1e-9
-        _, _, diag, e = _evaluate(sys, res.config.points, p, 2)
+        _, _, diag, e = _evaluate(sys, res.config.points, p)
         assert _solve_cyclic(diag, e, np.zeros(q)) is not None
 
 
@@ -221,8 +221,8 @@ def noisy(system, seed):
     """The system with S multiplied by 1 + 1e-15 * noise: rounding-level changes only."""
     rng = np.random.default_rng(seed)
 
-    def jet(x0, x1, order):
-        out = system.jet(x0, x1, order)
+    def jet(x0, x1):
+        out = system.jet(x0, x1)
         out[0] = out[0] * (1.0 + 1e-15 * rng.standard_normal(np.shape(out[0])))
         return out
 
@@ -390,6 +390,18 @@ class TestBetaIrrational:
         qs = [q for _, q, _ in res.evaluations]
         assert 2 not in qs and qs[:2] == [3, 5]
         assert res.converged and res.upper - res.lower < 1e-6
+
+    @pytest.mark.parametrize("tag, omega", [("birkhoff", 0.4999912345), ("outer", 0.4999912345),
+                                            ("birkhoff", 0.00033312345678)])
+    def test_one_sided_convergents_fail_before_any_solve(self, monkeypatch, tag, omega):
+        # Below q = 2000, 0.4999912345 has the one convergent 1/2 (above it, and
+        # inadmissible for outer) and 0.00033312345678 has none.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a convergent of an unbracketable omega")
+
+        monkeypatch.setattr(twist, "_minimize_seeded", no_solve)
+        with pytest.raises(ValueError, match="q_max = 2000"):
+            beta_irrational_result(make_system(disk(1.0), tag), omega, 1e-6)
 
     def test_convergents_of_pi(self):
         assert convergents(math.pi, 200)[:3] == [(3, 1), (22, 7), (333, 106)]
