@@ -25,6 +25,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 # Highest derivative of h the support jet provides; the model Hessians need the third.
 MAX_SUPPORT_ORDER = 3
+# Most angles in one e^{i n phi} table of the support jet: a 64-mode table
+# then takes 1 MB however many angles a call evaluates.
+TABLE_BLOCK = 1024
 
 
 def _grid_size(n_modes: int) -> int:
@@ -147,9 +150,12 @@ def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.n
     """h, h', ..., h^(order) at the angles phi, shape (order + 1, *phi.shape).
 
     With c_n = a_n - i b_n, h^(k) = a0 [k = 0] + Re sum_n c_n (i n)^k e^{i n phi}.
-    One table of e^{i n phi}, n = 1..N, serves every order through a single
+    A table of e^{i n phi}, n = 1..N, serves every order through a single
     complex matmul.  The table is built in place from e^{i phi} (phi reduced
     mod 2 pi) by repeated products: rows n+1..n+m are rows 1..m times row n.
+    The table covers TABLE_BLOCK angles at a time, in one buffer that every
+    block reuses, so it holds at most N * TABLE_BLOCK values however many
+    angles the call evaluates.
     """
     if not 0 <= order <= MAX_SUPPORT_ORDER:
         raise ValueError(f"support derivative order must lie in 0..{MAX_SUPPORT_ORDER}")
@@ -158,14 +164,18 @@ def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.n
     out[0] = dom.a0
     n_modes = dom.n_modes
     if n_modes:
-        table = np.empty((n_modes, phi_arr.size), dtype=complex)
-        np.exp(1j * np.mod(phi_arr.reshape(-1), TWO_PI), out=table[0])
-        done = 1
-        while done < n_modes:
-            m = min(done, n_modes - done)
-            np.multiply(table[:m], table[done - 1], out=table[done : done + m])
-            done += m
-        out += (dom._jet_coefficients[: order + 1] @ table).real
+        angles = np.mod(phi_arr.reshape(-1), TWO_PI)
+        buffer = np.empty(n_modes * min(angles.size, TABLE_BLOCK), dtype=complex)
+        for start in range(0, angles.size, TABLE_BLOCK):
+            block = angles[start : start + TABLE_BLOCK]
+            table = buffer[: n_modes * block.size].reshape(n_modes, block.size)
+            np.exp(1j * block, out=table[0])
+            done = 1
+            while done < n_modes:
+                m = min(done, n_modes - done)
+                np.multiply(table[:m], table[done - 1], out=table[done : done + m])
+                done += m
+            out[:, start : start + block.size] += (dom._jet_coefficients[: order + 1] @ table).real
     return out.reshape(order + 1, *phi_arr.shape)
 
 

@@ -26,7 +26,7 @@ NUM_TOL = 1e-8
 _MAIN_MODEL = {"T4.2": "birkhoff", "T4.3": "symplectic", "T4.4": "fourth"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     theorem: str
     rho: float

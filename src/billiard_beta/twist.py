@@ -102,7 +102,7 @@ class RotationNumber:
         return f"{self.p}/{self.q}" if self.is_rational else repr(self.omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Cyclically ordered q-point configuration with winding number."""
 
@@ -130,7 +130,7 @@ class Configuration:
         return Configuration(self.points + shift, self.winding, self.period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetaResult:
     beta: float
     config: Configuration
@@ -212,66 +212,63 @@ def _strip(sys):
 
 
 def _feasible_fraction(sys, x, step, p):
-    """Largest t <= 1 keeping every gap of x + t * step in the solvers' strip,
-    times 0.999 when below 1."""
+    """Per row of x, the largest t <= 1 keeping every gap of x + t * step in
+    the solvers' strip, times 0.999 when below 1."""
     lo, hi = _strip(sys)
     g = _closed(x, p, sys.period) - x
     dg = _closed(step, 0, sys.period) - step
-    up, dn = dg > 0, dg < 0
-    t = min(((hi - g[up]) / dg[up]).min(initial=1.0), ((lo - g[dn]) / dg[dn]).min(initial=1.0))
-    t = max(t, 0.0)
-    return 0.999 * t if t < 1.0 else t
+    room = np.divide(np.where(dg > 0, hi, lo) - g, dg, out=np.ones_like(g), where=dg != 0)
+    t = np.maximum(room.min(axis=-1, initial=1.0), 0.0)
+    return np.where(t < 1.0, 0.999 * t, t)
 
 
 def _solve_cyclic(diag, e, rhs):
-    """Solve the symmetric cyclic tridiagonal system in O(q) by a bordered LDL^T.
+    """Solve symmetric cyclic tridiagonal systems in O(q) by a bordered LDL^T.
 
-    Off-diagonal couplings e[k] join unknowns k and k+1; e[-1] is the corner
-    coupling (q-1, 0); q >= 2, and for q = 2 both couplings join the same
-    pair.  The leading (q-1)x(q-1) tridiagonal block T is factored by the
-    pivots d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the
-    corner coupling at row 0 and e[q-2] at row q-2.  The last pivot is the
-    Schur complement s = a_{q-1} - v^T T^{-1} v.
+    Each index of the leading axes is one system along the last axis, and
+    the recurrences over k run once for all of them, on columns.  Off-diagonal
+    couplings e[k] join unknowns k and k+1; e[-1] is the corner coupling
+    (q-1, 0); q >= 2, and for q = 2 both couplings join the same pair.  The
+    leading (q-1)x(q-1) tridiagonal block T is factored by the pivots
+    d_k = a_k - e_{k-1}^2 / d_{k-1}; its border column v holds the corner
+    coupling at row 0 and e[q-2] at row q-2.  The last pivot is the Schur
+    complement s = a_{q-1} - v^T T^{-1} v, accumulated term by term.
 
-    Returns x, or None unless every pivot is positive and x is finite.  By
-    Sylvester's law of inertia the pivots are all positive exactly when the
-    matrix is positive definite.
+    Returns (x, ok), where ok is False for a system unless every pivot is
+    positive and its x is finite.  By Sylvester's law of inertia the pivots
+    are all positive exactly when the matrix is positive definite.
     """
-    a, c, b = diag.tolist(), e.tolist(), rhs.tolist()
-    n = len(a) - 1
-    # forward pass over T: pivots d, g = L^{-1} b and w = L^{-1} v
-    dk, gk, wk = a[0], b[0], c[-1]
-    d, g, w = [dk], [gk], [wk]
-    try:
+    shape = np.shape(rhs)
+    q = shape[-1]
+    a, c, b = (v.reshape(-1, q).T for v in (diag, e, rhs))
+    n = q - 1
+    # a zero or negative pivot makes ok False; the arithmetic past it may overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # forward pass over T: pivots d, g = L^{-1} b, and w = L^{-1} v as the
+        # products of its first entry (the corner coupling) and the factors -m_k
+        dk, gk = a[0], b[0]
+        d, g, w = [dk], [gk], [c[-1]]
         for ck, ak, bk in zip(c, a[1:n], b[1:n]):
             mk = ck / dk
             dk = ak - ck * mk
             gk = bk - mk * gk
-            wk = -mk * wk
             d.append(dk)
             g.append(gk)
-            w.append(wk)
-    except ZeroDivisionError:  # a zero pivot
-        return None
-    if not min(d) > 0.0:
-        return None
-    w[-1] += c[n - 1]
-    # last pivot: s = a_{q-1} - w^T D^{-1} w, the Schur complement
-    s, gn = a[n], b[n]
-    for dk, gk, wk in zip(d, g, w):
-        r = wk / dk
-        s -= wk * r
-        gn -= gk * r
-    if not s > 0.0:
-        return None
-    xn = gn / s
-    # back substitution through D L^T, whose superdiagonal is e
-    x = [0.0] * n + [xn]
-    x[n - 1] = (g[-1] - w[-1] * xn) / d[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = (g[k] - w[k] * xn - c[k] * x[k + 1]) / d[k]
-    x = np.array(x)
-    return x if np.isfinite(x).all() else None
+            w.append(-mk)
+        d, g, w = np.array(d), np.array(g), np.multiply.accumulate(w)
+        w[n - 1] += c[n - 1]
+        # last pivot: s = a_{q-1} - w^T D^{-1} w, the Schur complement
+        r = w / d
+        s = np.subtract.reduce(np.concatenate([a[n:], w * r]))
+        xn = np.subtract.reduce(np.concatenate([b[n:], g * r])) / s
+        # back substitution through D L^T, whose superdiagonal is e
+        h = g - w * xn
+        x = [xn, h[n - 1] / d[n - 1]]  # x_{q-1}, x_{q-2}, ..., x_0
+        for k in range(n - 2, -1, -1):
+            x.append((h[k] - c[k] * x[-1]) / d[k])
+        x = np.array(x[::-1])
+    ok = (d > 0.0).all(axis=0) & (s > 0.0) & np.isfinite(x).all(axis=0)
+    return x.T.reshape(shape), ok.reshape(shape[:-1])
 
 
 # perfbench/tracing.py times the cyclic solve by wrapping this name; drop the
@@ -283,51 +280,91 @@ def _tol_effective(act, q):
     return TOL * (1.0 + abs(act / q))
 
 
-def _newton_phase(sys, x, p, pin=False):
-    """Newton on the periodic action with an inertia-controlled shift.
+def _shifted_step(diag, e, grad, mu):
+    """Per row, the step delta of (H + mu) delta = -grad for the first mu of
+    the sequence mu_0 = mu, mu_{j+1} = max(10 mu_j, 1e-6 (1 + max|diag|)) for
+    which H + mu is positive definite and delta finite (ok in _solve_cyclic).
+    Only the rejected rows are solved again.
 
-    Each step solves (H + mu) delta = -grad.  While H + mu is not positive
-    definite or delta is not finite (_solve_cyclic returns None), mu rises
-    to max(10 mu, 1e-6 (1 + max|diag|)); so every step is a descent
-    direction of the action.  mu falls by 4 after each step.  The step
-    length t starts at the feasible fraction and halves until the trial point
-    meets the Armijo test A(x + t delta) <= A + 1e-4 t grad.delta or lowers
-    the max-norm residual; once halving no longer moves x, the solve stops
-    unconverged.  One evaluation per trial point gives the action, gradient
-    and Hessian.  With pin, x_0 never moves: its gradient and both its
-    couplings are 0 and its Hessian row is the identity, so its step is 0.
-    Returns (x, action, residual, converged).
+    Returns (delta, mu, found); a row whose mu overflows (no shift makes a NaN
+    Hessian definite) is not found, and its delta is 0.
     """
-    q = x.size
+    delta, found = _solve_cyclic(diag + mu[:, None], e, -grad)
+    todo = np.flatnonzero(~found)
+    while todo.size:
+        mu[todo] = np.maximum(1e-6 * (1.0 + np.abs(diag[todo]).max(axis=-1)), 10.0 * mu[todo])
+        todo = todo[mu[todo] < math.inf]
+        delta[todo], found[todo] = _solve_cyclic(diag[todo] + mu[todo, None], e[todo], -grad[todo])
+        todo = todo[~found[todo]]
+    delta[~found] = 0.0
+    return delta, mu, found
+
+
+def _newton_phase(sys, x, p, pin=False):
+    """Newton on the periodic action from each start row of x (R x q), with
+    an inertia-controlled shift.
+
+    Each row runs its own Newton.  A step solves (H + mu) delta = -grad,
+    with mu raised until H + mu is positive definite (_shifted_step); so
+    every step is a descent direction of the action.  mu falls by 4 after
+    each step.  The step length t starts at the feasible fraction and halves
+    until the trial point meets the Armijo test A(x + t delta) <= A + 1e-4 t
+    grad.delta or lowers the max-norm residual.  A row stops unconverged once
+    halving no longer moves it, when no finite mu makes H + mu definite, or
+    after MAX_NEWTON_ITER steps.  With pin, x_0 never moves: its gradient and
+    both its couplings are 0 and its Hessian row is the identity, so its step
+    is 0.
+
+    The rows share the work: each round makes one evaluation (action,
+    gradient and Hessian) of every live row's trial point, and the rows that
+    moved get their next steps from one _shifted_step call.  Returns one
+    (x, action, residual, converged) per row.
+    """
+    x = np.array(x, dtype=float)
+    n, q = x.shape
+    out = [None] * n
 
     def evaluate(x):
         act, grad, diag, e = _evaluate(sys, x, p)
         if pin:
-            grad[0], diag[0], e[0], e[-1] = 0.0, 1.0, 0.0, 0.0
-        return act, grad, diag, e, float(np.abs(grad).max())
+            grad[:, 0], diag[:, 0], e[:, 0], e[:, -1] = 0.0, 1.0, 0.0, 0.0
+        return act, grad, diag, e, np.abs(grad).max(axis=-1)
 
     act, grad, diag, e, res = evaluate(x)
-    mu = 0.0
-    for _ in range(MAX_NEWTON_ITER):
-        if res < _tol_effective(act, q):
-            return x, act, res, True
-        while (delta := _solve_cyclic(diag + mu, e, -grad)) is None:
-            mu = max(1e-6 * (1.0 + float(np.abs(diag).max())), 10.0 * mu)
-            if not mu < math.inf:  # no shift makes a NaN Hessian definite
-                return x, act, res, False
-        slope = float(grad @ delta)
-        t = _feasible_fraction(sys, x, delta, p)
-        while True:
-            trial = x + t * delta
-            if np.array_equal(trial, x):
-                return x, act, res, False
-            act_t, grad_t, diag_t, e_t, res_t = evaluate(trial)
-            if act_t <= act + 1e-4 * t * slope or res_t < res:
-                break
-            t *= 0.5
-        x, act, grad, res, diag, e = trial, act_t, grad_t, res_t, diag_t, e_t
-        mu *= 0.25
-    return x, act, res, res < _tol_effective(act, q)
+    # per live row: its start row, shift, steps taken, direction, grad.delta and step length
+    rows, mu, steps = np.arange(n), np.zeros(n), np.zeros(n, dtype=int)
+    delta, slope, t = np.zeros((n, q)), np.zeros(n), np.zeros(n)
+    moved = np.ones(n, dtype=bool)  # rows at a new point, which need a new step
+    while True:
+        ok = moved & (res < _tol_effective(act, q))
+        stop = ok | (moved & (steps == MAX_NEWTON_ITER))
+        new = moved & ~stop
+        if new.any():
+            sel = np.flatnonzero(new)
+            delta[sel], mu[sel], found = _shifted_step(diag[sel], e[sel], grad[sel], mu[sel])
+            # a stacked (1 x q)(q x 1) product per row rounds like one row's grad @ delta
+            slope[sel] = (grad[sel, None, :] @ delta[sel, :, None])[:, 0, 0]
+            t[sel] = _feasible_fraction(sys, x[sel], delta[sel], p)
+            stop[sel] |= ~found
+        t[stop] = 0.0
+        trial = x + t[:, None] * delta
+        stop |= (trial == x).all(axis=-1)  # halving no longer moves the row
+        if stop.any():
+            for k in np.flatnonzero(stop):
+                out[rows[k]] = (x[k], act[k], res[k], bool(ok[k]))
+            if stop.all():
+                return out
+            keep = ~stop
+            rows, x, act, grad, diag, e, res, mu, steps, delta, slope, t, trial = (
+                v[keep] for v in (rows, x, act, grad, diag, e, res, mu, steps, delta, slope, t, trial))
+        act_t, grad_t, diag_t, e_t, res_t = evaluate(trial)
+        moved = (act_t <= act + 1e-4 * t * slope) | (res_t < res)
+        x, grad, diag, e = (np.where(moved[:, None], now, before)
+                            for now, before in zip((trial, grad_t, diag_t, e_t), (x, grad, diag, e)))
+        act, res = np.where(moved, act_t, act), np.where(moved, res_t, res)
+        mu[moved] *= 0.25
+        steps += moved
+        t[~moved] *= 0.5
 
 
 def _select(sys, p, q, candidates):
@@ -351,8 +388,8 @@ def _select(sys, p, q, candidates):
 
 
 def _solve(sys, p, q, rows, pin=False):
-    """Run Newton from each start row, x_0 fixed with pin, and _select."""
-    return _select(sys, p, q, [_newton_phase(sys, row, p, pin) for row in rows])
+    """Run Newton from the start rows, x_0 fixed with pin, and _select."""
+    return _select(sys, p, q, _newton_phase(sys, rows, p, pin))
 
 
 def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:

@@ -1,13 +1,22 @@
 """The fused support jet and model jets against term-wise references."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from billiard_beta import rigidity
-from billiard_beta.geometry import SupportDomain, disk, ellipse, eval_support, support_jet
+from billiard_beta.geometry import (
+    AffineMap,
+    SupportDomain,
+    affine_image,
+    disk,
+    ellipse,
+    eval_support,
+    support_jet,
+)
 from billiard_beta.models import MODEL_TAGS, make_system
 from billiard_beta.twist import _closed, beta_irrational_result, make_toy_system
 
@@ -78,6 +87,22 @@ class TestSupportJet:
 
     def test_default_order_is_three(self):
         assert support_jet(ellipse(2, 1), np.zeros(3)).shape == (4, 3)
+
+    def test_table_memory_is_bounded(self):
+        # The ladder's stacked call: 8 rows of q = 721 angles on a rotated
+        # 64-mode ellipse.  A table over all 5768 angles alone takes 5.9 MB.
+        dom = affine_image(ellipse(1.5, 0.8), AffineMap.rotation(1.1))
+        assert dom.n_modes == 64
+        phi = np.random.default_rng(3).uniform(0.0, TWO_PI, (8, 721))
+        tracemalloc.start()
+        try:
+            jet = support_jet(dom, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        for row, want in zip(np.moveaxis(jet, 1, 0), phi):
+            assert_close(row, support_jet(dom, want), 1e-13)
 
     def test_orders_above_three_rejected(self):
         for order in (4, -1):

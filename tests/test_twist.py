@@ -181,11 +181,11 @@ class TestMinimizePeriodic:
     def test_no_converged_start_reports_lowest_residual(self, monkeypatch):
         # Every start stops unconverged where it began; start 1 has the lowest residual.
         sys = make_system(ellipse(2, 1), "birkhoff")
-        residuals = iter([3e-3, 1e-4, 5e-2, 2e-4, 7e-3, 4e-4, 9e-4, 6e-3])
+        residuals = [3e-3, 1e-4, 5e-2, 2e-4, 7e-3, 4e-4, 9e-4, 6e-3]
 
-        def unconverged(sys, x, p, pin=False):
-            res = next(residuals)
-            return x, float(_evaluate(sys, x, p)[0]), res, False
+        def unconverged(sys, rows, p, pin=False):
+            assert len(rows) == len(residuals)
+            return [(x, float(_evaluate(sys, x, p)[0]), res, False) for x, res in zip(rows, residuals)]
 
         monkeypatch.setattr(twist, "_newton_phase", unconverged)
         res = minimize_periodic(sys, 1, 3)
@@ -214,7 +214,7 @@ class TestMinimizePeriodic:
         assert res.converged
         assert abs(res.beta - want) < 1e-9
         _, _, diag, e = _evaluate(sys, res.config.points, p)
-        assert _solve_cyclic(diag, e, np.zeros(q)) is not None
+        assert _solve_cyclic(diag, e, np.zeros(q))[1]
 
 
 def noisy(system, seed):
@@ -263,7 +263,9 @@ class TestSolveCyclic:
     def test_matches_dense_solve(self, q):
         diag, e, rhs = self.system(q)
         want = np.linalg.solve(self.dense(diag, e), rhs)
-        assert np.abs(_solve_cyclic(diag, e, rhs) - want).max() < 1e-12
+        x, ok = _solve_cyclic(diag, e, rhs)
+        assert ok
+        assert np.abs(x - want).max() < 1e-12
 
     @pytest.mark.parametrize("q", [2, 3, 9, 117])
     def test_smallest_pivot_gives_inertia(self, q):
@@ -277,7 +279,7 @@ class TestSolveCyclic:
         definite = [np.linalg.eigvalsh(self.dense(d, e)).min() > 0.0 for d in cases]
         assert definite[:3] == [True, False, False]
         for d, want in zip(cases, definite):
-            assert (_solve_cyclic(d, e, rhs) is not None) == want
+            assert _solve_cyclic(d, e, rhs)[1] == want
 
     @pytest.mark.parametrize("q, pinned", [(2, 0), (5, 0), (5, 2), (5, 4)])
     def test_pinned_row_returns_rhs(self, q, pinned):
@@ -285,7 +287,8 @@ class TestSolveCyclic:
         diag, e, rhs = self.system(q)
         diag[pinned] = 1.0
         e[pinned] = e[pinned - 1] = 0.0
-        assert _solve_cyclic(diag, e, rhs)[pinned] == rhs[pinned]
+        x, ok = _solve_cyclic(diag, e, rhs)
+        assert ok and x[pinned] == rhs[pinned]
 
     # a zero Schur complement at q = 2 and (exactly, rows 0 and 2 equal) at
     # q = 3; a zero pivot d_1 inside the forward pass at q = 4
@@ -297,8 +300,43 @@ class TestSolveCyclic:
             ([1.0, 0.25, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5]),
         ],
     )
-    def test_singular_returns_none(self, diag, e):
-        assert _solve_cyclic(np.array(diag), np.array(e), np.ones(len(diag))) is None
+    def test_singular_is_rejected(self, diag, e):
+        assert not _solve_cyclic(np.array(diag), np.array(e), np.ones(len(diag)))[1]
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 17, 117])
+    def test_stacked_rejects_exactly_the_indefinite_rows(self, q):
+        # One call on a stack of definite and indefinite systems: the
+        # indefinite rows are rejected and every other row solves on its own.
+        rng = np.random.default_rng(q)
+        diag, e, rhs = rng.uniform(3.0, 5.0, (6, q)), rng.uniform(-1.0, 1.0, (6, q)), rng.standard_normal((6, q))
+        shifts = [np.linalg.eigvalsh(self.dense(d, c)) for d, c in zip(diag, e)]
+        diag[1] -= shifts[1][-1] + 0.5  # negative definite
+        diag[4] -= 0.5 * (shifts[4][0] + shifts[4][1])  # one negative eigenvalue
+        diag[5] = rng.uniform(-2.0, 2.0, q)
+        definite = np.array([np.linalg.eigvalsh(self.dense(d, c)).min() > 0.0 for d, c in zip(diag, e)])
+        assert definite[[0, 2, 3]].all() and not definite[[1, 4]].any()
+        x, ok = _solve_cyclic(diag, e, rhs)
+        assert x.shape == (6, q) and np.array_equal(ok, definite)
+        for k in np.flatnonzero(definite):
+            want = np.linalg.solve(self.dense(diag[k], e[k]), rhs[k])
+            assert np.abs(x[k] - want).max() < 1e-12
+
+
+class TestBatchedNewton:
+    """Newton on a stack of start rows against one Newton per row."""
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_stacked_rows_match_single_rows(self, tag):
+        for dom in rigidity.sample_random_domains(3, 0):
+            sys = make_system(dom, tag)
+            for p, q in [(1, 3), (2, 5), (7, 17)]:
+                rows = _hull_rows(Configuration([0.0], 1, sys.period), p, q)
+                stacked = twist._newton_phase(sys, rows, p)
+                single = [twist._newton_phase(sys, row[None, :], p)[0] for row in rows]
+                assert [c[3] for c in stacked] == [c[3] for c in single]
+                for (x, act, _, _), (x1, act1, _, _) in zip(stacked, single):
+                    assert abs(act - act1) <= 1e-12 * (1.0 + abs(act1))
+                    assert np.abs(x - x1).max() <= 1e-10
 
 
 class TestFixedStart:
