@@ -8,10 +8,12 @@ both trees with the same code and settings:
 
 - counts: deterministic call and row counts of the engine's inner functions
   (`_evaluate`, `_solve_cyclic`, `_feasible_fraction`, `_newton_phase`) on
-  the 78 traced suite jobs and the two ladder brackets of perfbench at seed 0;
+  the 78 traced suite jobs, the two ladder brackets and the CLI script of
+  perfbench at seed 0;
 - in-process timings: one long-lived worker process per tree builds the
   same job lists (and the CLI script, run through `cli.main`), warms up, and
-  then the two workers time whole job lists in alternating rounds;
+  then the two workers time whole job lists in alternating rounds; each CLI
+  command is also timed on its own;
 - perfbench: the unchanged `perfbench/run.py` of each tree, in alternating
   base/change pairs per workload; medians, quartiles and wins per metric.
 
@@ -73,14 +75,14 @@ def _job_lists(out_dir):
 
 
 def _run_list(workload, jobs):
-    """Seconds of job time for one pass over the list; CLI output is discarded."""
-    total = 0.0
+    """Seconds of each job's time in one pass over the list; CLI output is discarded."""
+    seconds = []
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()):
             start = time.perf_counter()
             workload.run(job)
-            total += time.perf_counter() - start
-    return total
+            seconds.append(time.perf_counter() - start)
+    return seconds
 
 
 def _counts(lists):
@@ -103,7 +105,7 @@ def _counts(lists):
     try:
         for name, fn in originals.items():
             setattr(twist, name, wrap(name, fn))
-        for name in ("suite", "ladder"):
+        for name in WORKLOADS:
             counts.clear()
             _run_list(*lists[name])
             out[name] = dict(sorted(counts.items()))
@@ -162,28 +164,39 @@ def summary(values):
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
+def compared(base, change):
+    return {
+        "base_s": summary(base),
+        "change_s": summary(change),
+        "change_wins": sum(c < b for b, c in zip(base, change)),
+        "speedup_of_medians": statistics.median(base) / statistics.median(change),
+    }
+
+
 def in_process(trees, tmp):
+    """Counts, and timings of each job list and of each CLI command."""
     workers = {side: Worker(tree, Path(tmp) / f"worker-{side}") for side, tree in trees.items()}
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import CLI_SCRIPT
+
     try:
         counts = {side: w.ask("counts") for side, w in workers.items()}
         times = {name: {side: [] for side in trees} for name in WORKLOADS}
+        commands = {cmd: {side: [] for side in trees} for cmd, _ in CLI_SCRIPT}
         for r in range(ROUNDS):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for name in WORKLOADS:
                 for side in order:
-                    times[name][side].append(workers[side].ask(name)["seconds"])
+                    seconds = workers[side].ask(name)["seconds"]
+                    times[name][side].append(sum(seconds))
+                    if name == "cli":  # the job list is CLI_SCRIPT's command names, in order
+                        for (cmd, _), t in zip(CLI_SCRIPT, seconds):
+                            commands[cmd][side].append(t)
     finally:
         for w in workers.values():
             w.close()
-    timings = {}
-    for name, sides in times.items():
-        base, change = sides["base"], sides["change"]
-        timings[name] = {
-            "base_s": summary(base),
-            "change_s": summary(change),
-            "change_wins": sum(c < b for b, c in zip(base, change)),
-            "speedup_of_medians": statistics.median(base) / statistics.median(change),
-        }
+    timings = {name: compared(sides["base"], sides["change"]) for name, sides in times.items()}
+    timings["cli"]["commands"] = {cmd: compared(sides["base"], sides["change"]) for cmd, sides in commands.items()}
     return counts, timings
 
 

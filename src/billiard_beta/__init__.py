@@ -68,6 +68,8 @@ from .twist import (
     farey_fractions,
     make_toy_system,
     minimize_periodic,
+    minimize_pinned,
+    minimize_rationals,
     minimize_with_fixed_start,
 )
 

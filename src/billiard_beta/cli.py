@@ -28,7 +28,7 @@ from .rigidity import (
     outer_third_relation,
     verify_main_inequality,
 )
-from .twist import Q_MAX, RotationNumber, farey_fractions, minimize_periodic
+from .twist import Q_MAX, RotationNumber, farey_fractions, minimize_rationals
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -130,8 +130,14 @@ def cmd_beta(args) -> int:
     orbit_lines = ["model,rho,k,phi,x,y"]
     ok = True
     for tag in tags:
+        system = make_system(dom, tag)
+        solved = iter(minimize_rationals(system, [(rho.p, rho.q) for rho in rotations if rho.is_rational]))
         for rho in rotations:
-            beta, resid, conv, cfg = twist.beta_at(make_system(dom, tag), rho)
+            if rho.is_rational:
+                res = next(solved)
+                beta, resid, conv, cfg = res.beta, res.grad_residual, res.converged, res.config
+            else:
+                beta, resid, conv, cfg = twist.beta_at(system, rho)
             ok = ok and conv
             if args.format == "json":
                 row = {"model": tag, "rho": str(rho), "beta": beta, "residual": resid, "converged": conv}
@@ -259,8 +265,7 @@ def cmd_sweep(args) -> int:
     curves = {tag: [] for tag in tags}
     orbit, ok = np.zeros((0, 2)), True
     for tag in tags:
-        for p, q in grid:
-            res = minimize_periodic(make_system(dom, tag), p, q)
+        for (p, q), res in zip(grid, minimize_rationals(make_system(dom, tag), grid)):
             ok = ok and res.converged
             lines.append(
                 f"{tag},{p},{q},{_fmt(p / q)},{_fmt(res.beta)},{_fmt(res.grad_residual)},{int(res.converged)}"
@@ -282,8 +287,7 @@ def cmd_toy(args) -> int:
     sys = twist.make_toy_system(cos_coeffs, sin_coeffs)
     lines = ["rho,beta_V,beta_0,gap"]
     worst, ok = 0.0, True
-    for p, q in grid:
-        res = minimize_periodic(sys, p, q)
+    for (p, q), res in zip(grid, minimize_rationals(sys, grid)):
         ok = ok and res.converged
         beta_0 = 0.5 * (p / q) ** 2
         gap = beta_0 - res.beta

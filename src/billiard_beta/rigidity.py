@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry
 from .geometry import SupportDomain, area, eval_support, perimeter
 from .models import beta_disk, make_system, outer_polygon, polygon_area
-from .twist import RotationNumber, beta_at, beta_irrational_result, minimize_periodic, minimize_with_fixed_start
+from .twist import RotationNumber, beta_at, beta_irrational_result, minimize_periodic, minimize_pinned
 
 EQ_TOL = 1e-6
 NUM_TOL = 1e-8
@@ -306,18 +306,24 @@ def outer_counterexample(
     return _versus_disk("CE6.5", dom, "outer", float(frac), res.beta, res.converged, num_tol, eq_tol)
 
 
+def _pinned_spread(dom: SupportDomain, tag: str, p: int, q: int) -> tuple[float, bool]:
+    """(spread, all converged): the spread of the pinned minimal actions over
+    the converged ones of 12 phases x0 in [0, period / q), solved as one pinned
+    Newton array; nan when none converged."""
+    sys = make_system(dom, tag)
+    pinned = minimize_pinned(sys, p, q, np.linspace(0.0, sys.period / q, 12, endpoint=False))
+    actions = [res.beta for res in pinned if res.converged]
+    spread = max(actions) - min(actions) if actions else math.nan
+    return float(spread), len(actions) == len(pinned)
+
+
 def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> float:
-    """Spread of pinned minimal actions across phases.
+    """Spread of pinned minimal actions across phases, over the converged phases.
 
     A vanishing spread certifies numerically that every phase carries a
     minimal periodic orbit, i.e. an invariant curve of periodic points.
     """
-    sys = make_system(dom, tag)
-    actions = [
-        minimize_with_fixed_start(sys, p, q, x0).beta
-        for x0 in np.linspace(0.0, sys.period / q, 12, endpoint=False)
-    ]
-    return float(max(actions) - min(actions))
+    return _pinned_spread(dom, tag, p, q)[0]
 
 
 def outer_rigidity_theorem(
@@ -330,14 +336,17 @@ def outer_rigidity_theorem(
 
     For rho = 1/3 (T6.4) and rho = 1/4 (T6.10): when all phase-shifted
     critical orbits have equal action, beta_out(rho) >= (area/pi) tan(pi rho),
-    with equality only for ellipses.
+    with equality only for ellipses.  The hypothesis is certified when every
+    pinned phase converged and their spread is below 1e-8; orbit_spread is
+    None when no phase converged.
     """
     frac = _outer_rotation(rho)
     theorem = "T6.4" if frac.denominator == 3 else "T6.10"
-    spread = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
+    spread, all_converged = _pinned_spread(dom, "outer", frac.numerator, frac.denominator)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
     return _versus_disk(theorem, dom, "outer", float(frac), res.beta, res.converged, num_tol, eq_tol,
-                        orbit_spread=spread, hypothesis_certified=bool(spread < 1e-8))
+                        orbit_spread=None if math.isnan(spread) else spread,
+                        hypothesis_certified=all_converged and spread < 1e-8)
 
 
 # ---------------------------------------------------------------------------

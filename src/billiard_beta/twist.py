@@ -313,7 +313,8 @@ def _newton_phase(sys, x, p, pin=False):
     halving no longer moves it, when no finite mu makes H + mu definite, or
     after MAX_NEWTON_ITER steps.  With pin, x_0 never moves: its gradient and
     both its couplings are 0 and its Hessian row is the identity, so its step
-    is 0.
+    is 0.  p is one winding number for every row or an R x 1 column of them,
+    so the solves of several p at one q can share the array.
 
     The rows share the work: each round makes one evaluation (action,
     gradient and Hessian) of every live row's trial point, and the rows that
@@ -322,6 +323,7 @@ def _newton_phase(sys, x, p, pin=False):
     """
     x = np.array(x, dtype=float)
     n, q = x.shape
+    column = np.ndim(p) > 0  # a winding per row, dropped with the row
     out = [None] * n
 
     def evaluate(x):
@@ -344,7 +346,7 @@ def _newton_phase(sys, x, p, pin=False):
             delta[sel], mu[sel], found = _shifted_step(diag[sel], e[sel], grad[sel], mu[sel])
             # a stacked (1 x q)(q x 1) product per row rounds like one row's grad @ delta
             slope[sel] = (grad[sel, None, :] @ delta[sel, :, None])[:, 0, 0]
-            t[sel] = _feasible_fraction(sys, x[sel], delta[sel], p)
+            t[sel] = _feasible_fraction(sys, x[sel], delta[sel], p[sel] if column else p)
             stop[sel] |= ~found
         t[stop] = 0.0
         trial = x + t[:, None] * delta
@@ -355,6 +357,8 @@ def _newton_phase(sys, x, p, pin=False):
             if stop.all():
                 return out
             keep = ~stop
+            if column:
+                p = p[keep]
             rows, x, act, grad, diag, e, res, mu, steps, delta, slope, t, trial = (
                 v[keep] for v in (rows, x, act, grad, diag, e, res, mu, steps, delta, slope, t, trial))
         act_t, grad_t, diag_t, e_t, res_t = evaluate(trial)
@@ -392,6 +396,33 @@ def _solve(sys, p, q, rows, pin=False):
     return _select(sys, p, q, _newton_phase(sys, rows, p, pin))
 
 
+def minimize_rationals(sys: TwistSystem, rationals) -> list[BetaResult]:
+    """minimize_periodic(sys, p, q) for each (p, q) of rationals, in input order.
+
+    Every rational is checked before any solve.  The rationals of one
+    denominator q run as one Newton array: the STARTS hull rows of each
+    distinct p stacked, with a winding column, in one _newton_phase call;
+    _select chooses each p's result from its own block of rows.
+    """
+    for p, q in rationals:
+        if why := _inadmissible(sys, p, q):
+            raise ValueError(why)
+    groups = {}  # q -> its distinct p, in first-seen order
+    for p, q in rationals:
+        groups.setdefault(q, {})[p] = None
+    straight = Configuration([0.0], 1, sys.period)
+    solved = {}
+    for q, ps in groups.items():
+        ps = list(ps)
+        rows = np.concatenate([_hull_rows(straight, p, q) for p in ps])
+        # a lone p keeps the scalar winding, which costs no per-row work
+        winding = ps[0] if len(ps) == 1 else np.repeat(ps, STARTS)[:, None]
+        found = _newton_phase(sys, rows, winding)
+        for i, p in enumerate(ps):
+            solved[p, q] = _select(sys, p, q, found[i * STARTS : (i + 1) * STARTS])
+    return [solved[pq] for pq in rationals]
+
+
 def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:
     """Minimize the periodic action at rotation number p/q.
 
@@ -401,9 +432,16 @@ def minimize_periodic(sys: TwistSystem, p: int, q: int) -> BetaResult:
     inertia-controlled shift runs from each start (_newton_phase), and
     _select chooses among the results.
     """
+    return minimize_rationals(sys, [(p, q)])[0]
+
+
+def minimize_pinned(sys: TwistSystem, p: int, q: int, x0s) -> list[BetaResult]:
+    """minimize_with_fixed_start(sys, p, q, x0) for each x0 of x0s, as one
+    pinned Newton array with one equispaced start row per x0."""
     if why := _inadmissible(sys, p, q):
         raise ValueError(why)
-    return _solve(sys, p, q, _hull_rows(Configuration([0.0], 1, sys.period), p, q))
+    rows = np.asarray(x0s, dtype=float)[:, None] + np.arange(q) * (p * sys.period / q)
+    return [_select(sys, p, q, [row]) for row in _newton_phase(sys, rows, p, pin=True)]
 
 
 def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> BetaResult:
@@ -413,10 +451,7 @@ def minimize_with_fixed_start(sys: TwistSystem, p: int, q: int, x0: float) -> Be
     action is independent of x0, every phase carries a minimal orbit.  Like
     every solve, the result is reported with x_0 in [0, period).
     """
-    if why := _inadmissible(sys, p, q):
-        raise ValueError(why)
-    start = x0 + np.arange(q) * (p * sys.period / q)
-    return _solve(sys, p, q, start[None, :], pin=True)
+    return minimize_pinned(sys, p, q, [x0])[0]
 
 
 def beta_rational(sys: TwistSystem, p: int, q: int) -> float:

@@ -270,6 +270,26 @@ class TestSweepCommand:
             assert b2 <= b1 + (b3 - b1) * (r2 - r1) / (r3 - r1) + 1e-8
 
 
+class TestNewtonCalls:
+    """One Newton array per denominator (sweep) and per pinned spread (T6.4)."""
+
+    @pytest.mark.parametrize("argv, pins", [
+        (["sweep", "--domain", "gutkin:4,0.05", "--model", "all", "--qmax", "11"], [False] * 36),
+        (["verify", "--theorem", "T6.4", "--domain", "ellipse:2,1"], [True, False]),
+    ])
+    def test_newton_phase_calls(self, capsys, monkeypatch, argv, pins):
+        calls = []
+        newton = twist._newton_phase
+
+        def counted(sys, x, p, pin=False):
+            calls.append(pin)
+            return newton(sys, x, p, pin)
+
+        monkeypatch.setattr(twist, "_newton_phase", counted)
+        assert main(argv) == 0
+        assert calls == pins
+
+
 class TestToyCommand:
     def test_zero_potential_exact(self, capsys):
         code, out = run(capsys, "toy", "--qmax", "6")
@@ -426,7 +446,7 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the model tags were checked")
 
-        monkeypatch.setattr(twist, "_solve", no_solve)
+        monkeypatch.setattr(twist, "_newton_phase", no_solve)
         assert main([*command, "--domain", "disk:1", "--model", "birkhoff,foo"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from billiard_beta import rigidity
+from billiard_beta import rigidity, twist
 from billiard_beta.geometry import constant_width, disk, ellipse, gutkin, scaled, squeezed_disk
 from billiard_beta.models import make_system
 from billiard_beta.rigidity import (
@@ -279,6 +279,25 @@ class TestOuterRigidity:
     def test_spread_values(self):
         assert invariant_curve_spread(disk(1.0), "outer", 1, 3) < 1e-10
         assert invariant_curve_spread(ellipse(2, 1), "symplectic", 1, 4) < 1e-8
+
+    @pytest.mark.parametrize("failed", [slice(-1, None), slice(None)], ids=["last", "all"])
+    def test_unconverged_phase_is_not_certified(self, monkeypatch, failed):
+        # Pinned rows that end unconverged, with far higher actions, are left
+        # out of the spread, and the hypothesis is not certified.
+        newton = twist._newton_phase
+
+        def rows_fail(sys, x, p, pin=False):
+            out = newton(sys, x, p, pin)
+            if pin:
+                out[failed] = [(x_k, act + 1.0, res, False) for x_k, act, res, _ in out[failed]]
+            return out
+
+        monkeypatch.setattr(twist, "_newton_phase", rows_fail)
+        rep = outer_rigidity_theorem(disk(1.0), Fraction(1, 3))
+        spread = rep.meta["orbit_spread"]
+        assert spread is None if failed == slice(None) else spread < 1e-10
+        assert rep.meta["hypothesis_certified"] is False
+        assert rep.converged and rep.equality
 
 
 class TestScalingCovariance:

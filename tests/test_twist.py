@@ -339,6 +339,60 @@ class TestBatchedNewton:
                     assert np.abs(x - x1).max() <= 1e-10
 
 
+class TestBatchedRationals:
+    """minimize_rationals: one Newton array per denominator against one solve per rational."""
+
+    SYSTEMS = [("toy", "toy", None)] + [
+        (tag, name, dom) for name, dom in [("ellipse", ellipse(2, 1)),
+                                           *((f"random{i}", rigidity.sample_random_domains(4, 5)[i]) for i in (0, 2))]
+        for tag in MODEL_TAGS
+    ]
+
+    @staticmethod
+    def system(tag, dom):
+        return make_toy_system([0.02, 0.005], [0.01]) if dom is None else make_system(dom, tag)
+
+    @pytest.mark.parametrize("tag, name, dom", SYSTEMS, ids=[n if n == t else f"{t}-{n}" for t, n, _ in SYSTEMS])
+    def test_matches_one_solve_per_rational(self, tag, name, dom):
+        sys = self.system(tag, dom)
+        grid = farey_fractions(11, include_half=False)
+        order = np.random.default_rng(4).permutation(len(grid))
+        rationals = [grid[i] for i in order]
+        rationals.insert(5, rationals[17])  # one duplicate
+        results = twist.minimize_rationals(sys, rationals)
+        assert len(results) == len(rationals)
+        straight = Configuration([0.0], 1, sys.period)
+        for (p, q), res in zip(rationals, results):
+            assert (res.config.winding, res.config.q) == (p, q)
+            one = twist._select(sys, p, q, twist._newton_phase(sys, _hull_rows(straight, p, q), p))
+            assert res.converged == one.converged
+            assert abs(res.beta - one.beta) <= 1e-13
+
+    @pytest.mark.parametrize("bad, at", [((1, 2), 2), ((1, 2001), 4), ((0, 5), 0)])
+    def test_inadmissible_rational_fails_before_any_solve(self, monkeypatch, bad, at):
+        calls = []
+        newton = twist._newton_phase
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(twist, "_newton_phase", counted)
+        rationals = [(1, 3), (2, 5), (1, 4), (3, 7)]
+        rationals.insert(at, bad)
+        with pytest.raises(ValueError, match=f"rotation number {bad[0]}/{bad[1]}|rho = {bad[0]}/{bad[1]}"):
+            twist.minimize_rationals(make_system(ellipse(2, 1), "outer"), rationals)
+        assert calls == []
+
+    def test_one_rational_is_minimize_periodic(self):
+        sys = make_system(ellipse(2, 1), "birkhoff")
+        [res] = twist.minimize_rationals(sys, [(2, 7)])
+        one = minimize_periodic(sys, 2, 7)
+        assert (res.beta, res.grad_residual, res.converged) == (one.beta, one.grad_residual, one.converged)
+        assert np.array_equal(res.config.points, one.config.points)
+        assert twist.minimize_rationals(sys, []) == []
+
+
 class TestFixedStart:
     """Pinned solves against the free multi-start minimum."""
 
