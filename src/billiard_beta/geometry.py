@@ -28,6 +28,11 @@ MAX_SUPPORT_ORDER = 3
 # Most angles in one e^{i n phi} table of the support jet: a 64-mode table
 # then takes 1 MB however many angles a call evaluates.
 TABLE_BLOCK = 1024
+# The support jet's table columns come in whole groups of this many (TABLE_BLOCK
+# is a multiple of it): OpenBLAS computes the columns of a complex matmul in
+# groups of 4 and rounds the columns of a last, partial group (or of a lone
+# column) another way.
+TABLE_GROUP = 4
 
 
 def _grid_size(n_modes: int) -> int:
@@ -155,18 +160,22 @@ def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.n
     mod 2 pi) by repeated products: rows n+1..n+m are rows 1..m times row n.
     The table covers TABLE_BLOCK angles at a time, in one buffer that every
     block reuses, so it holds at most N * TABLE_BLOCK values however many
-    angles the call evaluates.
+    angles the call evaluates.  The angles are padded with zeros to whole
+    groups of TABLE_GROUP, so an angle's values round the same way whatever
+    other angles share the call.
     """
     if not 0 <= order <= MAX_SUPPORT_ORDER:
         raise ValueError(f"support derivative order must lie in 0..{MAX_SUPPORT_ORDER}")
     phi_arr = np.asarray(phi, dtype=float)
-    out = np.zeros((order + 1, phi_arr.size))
+    size = phi_arr.size
+    out = np.zeros((order + 1, size))
     out[0] = dom.a0
     n_modes = dom.n_modes
     if n_modes:
-        angles = np.mod(phi_arr.reshape(-1), TWO_PI)
+        angles = np.zeros(size + -size % TABLE_GROUP)
+        np.mod(phi_arr.reshape(-1), TWO_PI, out=angles[:size])
         buffer = np.empty(n_modes * min(angles.size, TABLE_BLOCK), dtype=complex)
-        for start in range(0, angles.size, TABLE_BLOCK):
+        for start in range(0, size, TABLE_BLOCK):
             block = angles[start : start + TABLE_BLOCK]
             table = buffer[: n_modes * block.size].reshape(n_modes, block.size)
             np.exp(1j * block, out=table[0])
@@ -175,7 +184,8 @@ def support_jet(dom: SupportDomain, phi, order: int = MAX_SUPPORT_ORDER) -> np.n
                 m = min(done, n_modes - done)
                 np.multiply(table[:m], table[done - 1], out=table[done : done + m])
                 done += m
-            out[:, start : start + block.size] += (dom._jet_coefficients[: order + 1] @ table).real
+            jet = (dom._jet_coefficients[: order + 1] @ table).real
+            out[:, start : start + block.size] += jet[:, : size - start]
     return out.reshape(order + 1, *phi_arr.shape)
 
 

@@ -404,6 +404,7 @@ def minimize_rationals(sys: TwistSystem, rationals) -> list[BetaResult]:
     distinct p stacked, with a winding column, in one _newton_phase call;
     _select chooses each p's result from its own block of rows.
     """
+    rationals = list(rationals)
     for p, q in rationals:
         if why := _inadmissible(sys, p, q):
             raise ValueError(why)
@@ -415,7 +416,8 @@ def minimize_rationals(sys: TwistSystem, rationals) -> list[BetaResult]:
     for q, ps in groups.items():
         ps = list(ps)
         rows = np.concatenate([_hull_rows(straight, p, q) for p in ps])
-        # a lone p keeps the scalar winding, which costs no per-row work
+        # a lone p keeps the scalar winding: a column adds numpy ops to every
+        # Newton round, a few percent of a small-q solve
         winding = ps[0] if len(ps) == 1 else np.repeat(ps, STARTS)[:, None]
         found = _newton_phase(sys, rows, winding)
         for i, p in enumerate(ps):

@@ -31,6 +31,13 @@ from billiard_beta.twist import (
 SQ3 = math.sqrt(3.0)
 
 
+def assert_same_result(res, want):
+    """Two BetaResults agree bit for bit."""
+    assert (res.beta, res.grad_residual, res.converged) == (want.beta, want.grad_residual, want.converged)
+    assert res.config.winding == want.config.winding
+    assert np.array_equal(res.config.points, want.config.points)
+
+
 def equispaced(q, p, period=2 * math.pi, x0=0.0):
     return Configuration(x0 + np.arange(q) * (p * period / q), p, period)
 
@@ -185,7 +192,8 @@ class TestMinimizePeriodic:
 
         def unconverged(sys, rows, p, pin=False):
             assert len(rows) == len(residuals)
-            return [(x, float(_evaluate(sys, x, p)[0]), res, False) for x, res in zip(rows, residuals)]
+            actions = _evaluate(sys, rows, p)[0]
+            return [(x, float(act), res, False) for x, act, res in zip(rows, actions, residuals)]
 
         monkeypatch.setattr(twist, "_newton_phase", unconverged)
         res = minimize_periodic(sys, 1, 3)
@@ -333,10 +341,9 @@ class TestBatchedNewton:
                 rows = _hull_rows(Configuration([0.0], 1, sys.period), p, q)
                 stacked = twist._newton_phase(sys, rows, p)
                 single = [twist._newton_phase(sys, row[None, :], p)[0] for row in rows]
-                assert [c[3] for c in stacked] == [c[3] for c in single]
-                for (x, act, _, _), (x1, act1, _, _) in zip(stacked, single):
-                    assert abs(act - act1) <= 1e-12 * (1.0 + abs(act1))
-                    assert np.abs(x - x1).max() <= 1e-10
+                for (x, act, res, ok), (x1, act1, res1, ok1) in zip(stacked, single):
+                    assert (act, res, ok) == (act1, res1, ok1)
+                    assert np.array_equal(x, x1)
 
 
 class TestBatchedRationals:
@@ -365,8 +372,27 @@ class TestBatchedRationals:
         for (p, q), res in zip(rationals, results):
             assert (res.config.winding, res.config.q) == (p, q)
             one = twist._select(sys, p, q, twist._newton_phase(sys, _hull_rows(straight, p, q), p))
-            assert res.converged == one.converged
-            assert abs(res.beta - one.beta) <= 1e-13
+            assert_same_result(res, one)
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_result_does_not_depend_on_the_other_rationals(self, tag):
+        # squeezed:0.1 at q = 14 once moved residuals when 3/14 shared its array
+        for dom in (squeezed_disk(0.1), rigidity.sample_random_domains(4, 5)[1]):
+            sys = make_system(dom, tag)
+            [alone] = twist.minimize_rationals(sys, [(3, 14)])
+            _, shared, _ = twist.minimize_rationals(sys, [(1, 14), (3, 14), (5, 14)])
+            assert_same_result(shared, alone)
+            x0s = np.linspace(0.0, sys.period / 3, 12, endpoint=False)
+            for res, x0 in zip(twist.minimize_pinned(sys, 1, 3, x0s), x0s):
+                assert_same_result(res, minimize_with_fixed_start(sys, 1, 3, x0))
+
+    def test_takes_any_iterable(self):
+        sys = make_system(ellipse(2, 1), "outer")
+        rationals = [(1, 3), (2, 5), (1, 3)]
+        got = twist.minimize_rationals(sys, ((p, q) for p, q in rationals))
+        assert len(got) == 3
+        for res, want in zip(got, twist.minimize_rationals(sys, rationals)):
+            assert_same_result(res, want)
 
     @pytest.mark.parametrize("bad, at", [((1, 2), 2), ((1, 2001), 4), ((0, 5), 0)])
     def test_inadmissible_rational_fails_before_any_solve(self, monkeypatch, bad, at):
@@ -387,9 +413,7 @@ class TestBatchedRationals:
     def test_one_rational_is_minimize_periodic(self):
         sys = make_system(ellipse(2, 1), "birkhoff")
         [res] = twist.minimize_rationals(sys, [(2, 7)])
-        one = minimize_periodic(sys, 2, 7)
-        assert (res.beta, res.grad_residual, res.converged) == (one.beta, one.grad_residual, one.converged)
-        assert np.array_equal(res.config.points, one.config.points)
+        assert_same_result(res, minimize_periodic(sys, 2, 7))
         assert twist.minimize_rationals(sys, []) == []
 
 
