@@ -130,14 +130,7 @@ def cmd_beta(args) -> int:
     orbit_lines = ["model,rho,k,phi,x,y"]
     ok = True
     for tag in tags:
-        system = make_system(dom, tag)
-        solved = iter(minimize_rationals(system, [(rho.p, rho.q) for rho in rotations if rho.is_rational]))
-        for rho in rotations:
-            if rho.is_rational:
-                res = next(solved)
-                beta, resid, conv, cfg = res.beta, res.grad_residual, res.converged, res.config
-            else:
-                beta, resid, conv, cfg = twist.beta_at(system, rho)
+        for rho, (beta, resid, conv, cfg) in zip(rotations, twist.beta_at(make_system(dom, tag), rotations)):
             ok = ok and conv
             if args.format == "json":
                 row = {"model": tag, "rho": str(rho), "beta": beta, "residual": resid, "converged": conv}

@@ -97,7 +97,7 @@ def verify_main_inequality(
     if theorem not in _MAIN_MODEL:
         raise ValueError(f"unknown main-inequality tag: {theorem!r}")
     tag = _MAIN_MODEL[theorem]
-    lhs, residual, converged, _ = beta_at(make_system(dom, tag), rho)
+    lhs, residual, converged, _ = beta_at(make_system(dom, tag), [rho])[0]
     return _versus_disk(theorem, dom, tag, rho.value, lhs, converged, num_tol, eq_tol, residual=residual)
 
 

@@ -93,8 +93,7 @@ class RotationNumber:
         value = float(text)
         if not math.isfinite(value):
             raise ValueError(f"rotation number {text!r} is not finite")
-        frac = Fraction(value).limit_denominator(10**6)
-        if float(frac) == value:
+        if (frac := _fraction(value)) is not None:
             return cls.rational(frac.numerator, frac.denominator)
         return cls.irrational(value, tol)
 
@@ -163,6 +162,12 @@ def _closed(x: np.ndarray, p: int, period: float) -> np.ndarray:
 def _roll(a: np.ndarray, shift: int) -> np.ndarray:
     """np.roll(a, shift, axis=-1) for |shift| = 1; concatenation is cheaper on short arrays."""
     return np.concatenate([a[..., -shift:], a[..., :-shift]], axis=-1)
+
+
+def _fraction(value: float) -> Fraction | None:
+    """value as the p/q with q <= Q_MAX nearest to it when that reproduces the float, else None."""
+    frac = Fraction(value).limit_denominator(Q_MAX)
+    return frac if float(frac) == float(value) else None
 
 
 def _inadmissible(sys: TwistSystem, p: int, q: int) -> str:
@@ -391,9 +396,9 @@ def _select(sys, p, q, candidates):
     return BetaResult(float(act) / q, cfg, float(res), bool(ok))
 
 
-def _solve(sys, p, q, rows, pin=False):
-    """Run Newton from the start rows, x_0 fixed with pin, and _select."""
-    return _select(sys, p, q, _newton_phase(sys, rows, p, pin))
+def _solve(sys, p, q, rows):
+    """Run Newton from the start rows and _select."""
+    return _select(sys, p, q, _newton_phase(sys, rows, p))
 
 
 def minimize_rationals(sys: TwistSystem, rationals) -> list[BetaResult]:
@@ -523,26 +528,24 @@ def _minimize_seeded(sys, p, q, prev):
     """minimize_periodic(sys, p, q), seeded from the minimizer prev (a
     Configuration or None) at a nearby rotation number.
 
-    Newton runs from the hull-function rows of prev when all their gaps lie
-    inside the solvers' strip.  A converged seed whose hull is increasing (an
-    ordered guess, as Aubry-Mather minimizers are) is kept.  Newton from a
-    non-monotone hull may end in a lower or a higher basin than the
-    equispaced starts, so the solve also runs from scratch and the lower
-    converged beta is kept.
+    The seed is the STARTS hull-function rows of prev, used when all their
+    gaps lie inside the solvers' strip.  An ordered seed (increasing hull, as
+    Aubry-Mather minimizers have) runs alone and is kept if it converged.
+    Newton from a non-monotone hull may end in a lower or a higher basin than
+    the equispaced starts, so such a seed runs in one array after the STARTS
+    straight-hull rows and _select picks.  Else the straight rows run alone.
     """
-    seeded = None
+    seed = np.empty((0, q))
     if prev is not None:
         rows = _hull_rows(prev, p, q)
         lo, hi = _strip(sys)
         gaps = _closed(rows, p, sys.period) - rows
         if lo < gaps.min() and gaps.max() < hi:
-            seeded = _solve(sys, p, q, rows)
-            if seeded.converged and _ordered(rows, p, sys.period):
-                return seeded
-    sol = minimize_periodic(sys, p, q)
-    if seeded is not None and seeded.converged and not (sol.converged and sol.beta <= seeded.beta):
-        return seeded
-    return sol
+            if not _ordered(rows, p, sys.period):
+                seed = rows
+            elif (sol := _solve(sys, p, q, rows)).converged:
+                return sol
+    return _solve(sys, p, q, np.concatenate([_hull_rows(Configuration([0.0], 1, sys.period), p, q), seed]))
 
 
 @dataclass(frozen=True)
@@ -562,17 +565,15 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
     extrapolated to omega, is a lower bound.  Convergents whose equispaced
     gap is inadmissible for the system are skipped; unless the admissible
     ones with q <= Q_MAX lie on both sides of omega, ValueError is raised
-    before any solve.  Each convergent after the first is solved by Newton
-    from the previous one's minimizer, and also from scratch when that seed
-    is not ordered or does not converge (_minimize_seeded).  The bracket is
-    converged when it is narrower than tol, every convergent converged and
-    lower <= upper up to TOL * (1 + |upper|).  An omega that is an exact
-    fraction is solved as that rational and keeps its converged flag.
+    before any solve.  Each convergent after the first is seeded from the
+    previous one's minimizer (_minimize_seeded).  The bracket is converged
+    when it is narrower than tol, every convergent converged and lower <=
+    upper up to TOL * (1 + |upper|).  An omega that _fraction reads as p/q
+    (q <= Q_MAX) is solved as that rational and keeps its converged flag.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    frac = Fraction(omega).limit_denominator(Q_MAX)
-    if float(frac) == float(omega):
+    if (frac := _fraction(omega)) is not None:
         sol = minimize_periodic(sys, frac.numerator, frac.denominator)
         val = sol.beta
         return IrrationalBetaResult(val, val, val, sol.converged, ((frac.numerator, frac.denominator, val),))
@@ -610,14 +611,21 @@ def beta_irrational_result(sys: TwistSystem, omega: float, tol: float = 1e-6) ->
     return IrrationalBetaResult(value, lower, upper, False, tuple(evals))
 
 
-def beta_at(sys: TwistSystem, rho: RotationNumber) -> tuple:
-    """(beta, residual, converged, config) at rho: minimize_periodic's gradient
-    residual and configuration, or beta_irrational_result's bracket width and None."""
-    if rho.is_rational:
-        res = minimize_periodic(sys, rho.p, rho.q)
-        return res.beta, res.grad_residual, res.converged, res.config
-    ir = beta_irrational_result(sys, rho.omega, rho.tol)
-    return ir.value, ir.upper - ir.lower, ir.converged, None
+def beta_at(sys: TwistSystem, rotations: Sequence[RotationNumber]) -> list[tuple]:
+    """(beta, residual, converged, config) per rotation, in input order: the
+    rationals from one minimize_rationals call (gradient residual and config),
+    each irrational from beta_irrational_result (bracket width and None)."""
+    rationals = [(rho.p, rho.q) for rho in rotations if rho.is_rational]
+    solved = dict(zip(rationals, minimize_rationals(sys, rationals)))
+
+    def at(rho):
+        if rho.is_rational:
+            res = solved[rho.p, rho.q]
+            return res.beta, res.grad_residual, res.converged, res.config
+        ir = beta_irrational_result(sys, rho.omega, rho.tol)
+        return ir.value, ir.upper - ir.lower, ir.converged, None
+
+    return [at(rho) for rho in rotations]
 
 
 def beta_irrational(sys: TwistSystem, omega: float, tol: float = 1e-6) -> float:
@@ -627,14 +635,13 @@ def beta_irrational(sys: TwistSystem, omega: float, tol: float = 1e-6) -> float:
 def equispaced_average_action(sys: TwistSystem, omega: float, x0: float = 0.0) -> float:
     """Average action of the equispaced configuration x_k = x0 + k*omega*period.
 
-    Exact cyclic average for rational omega; Birkhoff (= phase-space) average
-    via periodic trapezoid quadrature for irrational omega.
+    Exact cyclic average when _fraction reads omega as p/q; otherwise the Birkhoff
+    (= phase-space) average via periodic trapezoid quadrature on 4096 points.
     """
-    frac = Fraction(omega).limit_denominator(4096)
+    frac = _fraction(omega)
     gap = omega * sys.period
-    if float(frac) == float(omega):
-        q = frac.denominator
-        x = x0 + np.arange(q) * gap
+    if frac is not None:
+        x = x0 + np.arange(frac.denominator) * gap
         return float(np.mean(sys.jet(x, x + gap)[0]))
     t = np.linspace(0.0, sys.period, 4096, endpoint=False)
     return float(np.mean(sys.jet(t + x0, t + x0 + gap)[0]))

@@ -96,6 +96,16 @@ class TestBetaCommand:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 4 and all(row.endswith(",1") for row in rows)
 
+    def test_decimal_beyond_q_max_is_bracketed(self, capsys):
+        # 0.1234 is 617/5000, and 5000 > Q_MAX: it is bracketed as an
+        # irrational, like every float that no p/q with q <= Q_MAX reproduces.
+        code, out = run(capsys, "beta", "--domain", "disk:1", "--model", "birkhoff", "--rot", "0.1234",
+                        "--format", "json")
+        assert code == 0
+        [row] = json_lines(out)
+        assert row["rho"] == "0.1234" and row["converged"]
+        assert abs(row["beta"] - -2 * math.sin(0.1234 * math.pi)) <= row["residual"] / 2
+
     def test_negative_over_negative_rotation(self, capsys):
         code, out = run(capsys, "beta", "--domain", "disk:1", "--model", "birkhoff", "--rot=-1/-3")
         assert code == 0
@@ -421,6 +431,7 @@ class TestExitCodes:
             (["beta", "--domain", "disk:1", "--rot", "0.4999912345"], "q_max = 2000"),
             (["beta", "--domain", "disk:1", "--rot", "0.00033312345678"], "q_max = 2000"),
             (["verify", "--theorem", "T4.2", "--domain", "disk:1", "--rot", "0.4999912345"], "q_max = 2000"),
+            (["beta", "--domain", "disk:1", "--rot", "0"], "rotation number must lie in (0, 1/2]: 0/1"),
         ],
     )
     def test_bad_input_fails_fast(self, capsys, tmp_path, argv, message):

@@ -559,6 +559,33 @@ class TestBetaIrrational:
         assert not res.converged
 
 
+class TestBetaAt:
+    def test_one_dispatch_in_input_order(self, monkeypatch):
+        # The rationals share one minimize_rationals call; each irrational is
+        # its own bracket; the tuples come back in input order.
+        sys = make_system(ellipse(2, 1), "outer")
+        omega = 1 / math.sqrt(10)
+        rotations = [RotationNumber.rational(1, 4), RotationNumber.irrational(omega),
+                     RotationNumber.rational(1, 3), RotationNumber.rational(1, 4)]
+        batches = []
+        batched = twist.minimize_rationals
+
+        def counted(sys, rationals):
+            batches.append(list(rationals))
+            return batched(sys, rationals)
+
+        monkeypatch.setattr(twist, "minimize_rationals", counted)
+        out = twist.beta_at(sys, rotations)
+        assert batches == [[(1, 4), (1, 3), (1, 4)]]
+        ir = beta_irrational_result(sys, omega)
+        assert out[1] == (ir.value, ir.upper - ir.lower, ir.converged, None)
+        for i, (p, q) in [(0, (1, 4)), (2, (1, 3)), (3, (1, 4))]:
+            want = minimize_periodic(sys, p, q)
+            beta, residual, converged, cfg = out[i]
+            assert (beta, residual, converged) == (want.beta, want.grad_residual, want.converged)
+            assert np.array_equal(cfg.points, want.config.points)
+
+
 class TestHullSeed:
     @pytest.mark.parametrize("tag, p, q", [("outer", 6, 19), ("birkhoff", 3, 8)])
     def test_resampling_at_own_rotation_number(self, tag, p, q):
@@ -568,33 +595,39 @@ class TestHullSeed:
     @pytest.mark.parametrize("family", ["ellipse", "disk"])
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_seeded_ladder_matches_scratch(self, monkeypatch, family, tag):
-        scratch, _ = self.count_scratch(monkeypatch)
+        arrays = self.count_arrays(monkeypatch)
         sys = make_system(ellipse(1.5, 0.8) if family == "ellipse" else disk(1.0), tag)
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert res.converged
         if family == "ellipse" and tag in ("outer", "fourth"):
-            assert res.evaluations[-1][1] == 721 and 721 not in scratch
+            assert res.evaluations[-1][1] == 721
+            assert [a[:3] for a in arrays if a[0] == 721] == [(721, twist.STARTS, False)]
         for p, q, b in res.evaluations:
             assert abs(b - minimize_periodic(sys, p, q).beta) <= 1e-12
 
     @staticmethod
-    def count_scratch(monkeypatch):
-        """Record the q of every from-scratch solve; returns (record, scratch solve)."""
-        scratch = []
-        solve = twist.minimize_periodic
+    def count_arrays(monkeypatch):
+        """Record each Newton array as (q, rows, whether its first rows are the
+        STARTS straight-hull rows, whether any row converged)."""
+        arrays = []
+        newton = twist._newton_phase
 
-        def counted(sys, p, q):
-            scratch.append(q)
-            return solve(sys, p, q)
+        def counted(sys, x, p, pin=False):
+            q = np.shape(x)[1]
+            straight = _hull_rows(Configuration([0.0], 1, sys.period), p, q)
+            out = newton(sys, x, p, pin)
+            arrays.append((q, len(x), np.array_equal(x[: twist.STARTS], straight), any(c[3] for c in out)))
+            return out
 
-        monkeypatch.setattr(twist, "minimize_periodic", counted)
-        return scratch, solve
+        monkeypatch.setattr(twist, "_newton_phase", counted)
+        return arrays
 
     def test_rejected_seed_is_scratch_solve(self, monkeypatch):
         # Seed rows with a gap at max_gap leave the solvers' strip: every
-        # convergent is solved from scratch and Newton never sees those rows.
+        # convergent is solved from the straight rows alone, so Newton never
+        # sees the seed rows.
         sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
-        hull_rows, solve_rows = twist._hull_rows, twist._solve
+        hull_rows = twist._hull_rows
         seeded = []
 
         def off_strip(cfg, p, q):
@@ -604,55 +637,63 @@ class TestHullSeed:
                 seeded.append(rows)
             return rows
 
-        def solve_in_strip(sys, p, q, rows, pin=False):
-            assert not any(rows is bad for bad in seeded)
-            return solve_rows(sys, p, q, rows, pin)
-
         monkeypatch.setattr(twist, "_hull_rows", off_strip)
-        monkeypatch.setattr(twist, "_solve", solve_in_strip)
-        scratch, solve = self.count_scratch(monkeypatch)
+        arrays = self.count_arrays(monkeypatch)
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert len(seeded) == len(res.evaluations) - 1
-        assert scratch == [q for _, q, _ in res.evaluations]
-        assert [b for _, _, b in res.evaluations] == [solve(sys, p, q).beta for p, q, _ in res.evaluations]
+        assert [a[:3] for a in arrays] == [(q, twist.STARTS, True) for _, q, _ in res.evaluations]
+        assert [b for _, _, b in res.evaluations] == [minimize_periodic(sys, p, q).beta for p, q, _ in res.evaluations]
 
     def test_unconverged_seed_is_scratch_solve(self, monkeypatch):
-        # A seed from which no row converges falls back to the scratch solve.
+        # An ordered seed from which no row converges falls back to the
+        # straight rows alone.
         solve_rows = twist._solve
         seeded = []
 
-        def seed_fails(sys, p, q, rows, pin=False):
-            sol = solve_rows(sys, p, q, rows, pin)
+        def seed_fails(sys, p, q, rows):
+            sol = solve_rows(sys, p, q, rows)
             if np.array_equal(rows, _hull_rows(Configuration([0.0], 1, sys.period), p, q)):
                 return sol
             seeded.append(q)
             return dataclasses.replace(sol, converged=False)
 
         monkeypatch.setattr(twist, "_solve", seed_fails)
-        scratch, solve = self.count_scratch(monkeypatch)
+        arrays = self.count_arrays(monkeypatch)
         sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert res.converged
-        assert seeded == [q for _, q, _ in res.evaluations[1:]]
-        assert scratch == [q for _, q, _ in res.evaluations]
-        assert [b for _, _, b in res.evaluations] == [solve(sys, p, q).beta for p, q, _ in res.evaluations]
+        qs = [q for _, q, _ in res.evaluations]
+        assert seeded == qs[1:]
+        assert [a[:3] for a in arrays] == [(qs[0], twist.STARTS, True)] + [
+            a for q in qs[1:] for a in ((q, twist.STARTS, False), (q, twist.STARTS, True))]
+        assert [b for _, _, b in res.evaluations] == [minimize_periodic(sys, p, q).beta for p, q, _ in res.evaluations]
 
-    def test_converged_seed_is_kept(self, monkeypatch):
-        # Every seed of this bracket is ordered, so only q = 3 is a scratch solve.
-        scratch, solve = self.count_scratch(monkeypatch)
-        sys = make_system(rigidity.sample_random_domains(4, 3)[0], "symplectic")
-        res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
+    @pytest.mark.parametrize("omega", [1 / math.sqrt(10), math.sqrt(2) - 1], ids=["inv-sqrt10", "sqrt2-1"])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    @pytest.mark.parametrize("index", range(4))
+    def test_converged_seed_is_kept(self, monkeypatch, index, tag, omega):
+        # The first convergent runs the straight rows; each later one runs one
+        # Newton array, and a converged seed that ran alone is the result.
+        # No convergent ends above its scratch solve (by design at most
+        # TOL * (1 + |beta|), _select's margin; at most 7.1e-15 on these 32).
+        arrays = self.count_arrays(monkeypatch)
+        sys = make_system(rigidity.sample_random_domains(4, 3)[index], tag)
+        res = beta_irrational_result(sys, omega, 1e-6)
+        arrays = arrays[:]
         assert res.converged
-        assert scratch == [3]
+        assert [a[0] for a in arrays] == [q for _, q, _ in res.evaluations]
+        assert arrays[0][1:3] == (twist.STARTS, True)
+        kept = [a for a in arrays[1:] if not a[2]]
+        assert kept and all(a[1:] == (twist.STARTS, False, True) for a in kept)
         for p, q, b in res.evaluations:
-            assert b <= solve(sys, p, q).beta + 1e-12
+            assert b <= minimize_periodic(sys, p, q).beta + 1e-12
 
     def test_continuation_closes_birkhoff_bracket(self, monkeypatch):
         # The 8 equispaced starts at 12/29 end 7.1e-4 above the minimum that a
         # min-plus DP over a lifted grid finds; the hull seed from the 5/12
         # minimizer reaches it, and the bracket closes.  That seed's hull is
-        # not monotone, so the scratch solve runs too and loses.
-        scratch, solve = self.count_scratch(monkeypatch)
+        # not monotone, so it runs in one array with the straight rows and wins.
+        arrays = self.count_arrays(monkeypatch)
         sys = make_system(rigidity.sample_random_domains(8, 5)[1], "birkhoff")
         res = beta_irrational_result(sys, math.sqrt(2) - 1, 1e-6)
         assert res.converged
@@ -660,20 +701,39 @@ class TestHullSeed:
         assert res.upper - res.lower < 1e-6
         beta = {(p, q): b for p, q, b in res.evaluations}
         assert beta[12, 29] == pytest.approx(-1.9526602687, abs=1e-9)
-        assert 29 in scratch and beta[12, 29] < solve(sys, 12, 29).beta - 1e-4
+        assert [a[:3] for a in arrays if a[0] == 29] == [(29, 2 * twist.STARTS, True)]
+        assert beta[12, 29] < minimize_periodic(sys, 12, 29).beta - 1e-4
 
     def test_unordered_seed_keeps_scratch_basin(self, monkeypatch):
         # On squeezed(0.1, 0.3) the 6/19 outer minimizer's hull, resampled at
         # 37/117, is not monotone; Newton from it converges 2.6e-5 above the
-        # equispaced starts, which would invert the 1/sqrt(10) bracket.  The
-        # scratch solve runs too and its lower beta is kept.
-        scratch, solve = self.count_scratch(monkeypatch)
+        # equispaced starts, which would invert the 1/sqrt(10) bracket.  It
+        # runs in one array with the straight rows, whose lower beta is kept.
+        arrays = self.count_arrays(monkeypatch)
         sys = make_system(squeezed_disk(0.1, 0.3), "outer")
         res = beta_irrational_result(sys, 1 / math.sqrt(10), 1e-6)
         assert res.converged
         assert res.lower <= res.upper + twist.TOL * (1.0 + abs(res.upper))
-        assert scratch == [3, 117]
-        assert res.evaluations[-1] == (37, 117, solve(sys, 37, 117).beta)
+        assert [a[:3] for a in arrays] == [(3, twist.STARTS, True), (19, twist.STARTS, False),
+                                           (117, 2 * twist.STARTS, True)]
+        assert res.evaluations[-1] == (37, 117, minimize_periodic(sys, 37, 117).beta)
+
+    @pytest.mark.parametrize("name, tag, omega, arrays", [
+        # every seed ordered and kept: only the first convergent runs the straight rows
+        ("random-4-3-0", "symplectic", 1 / math.sqrt(10), [(3, 8, True), (19, 8, False), (117, 8, False)]),
+        # the unordered outer 37/117 and Birkhoff 12/29 seeds share one array with the straight rows
+        ("squeezed", "outer", 1 / math.sqrt(10), [(3, 8, True), (19, 8, False), (117, 16, True)]),
+        ("random-8-5-1", "birkhoff", math.sqrt(2) - 1, [(2, 8, True), (5, 8, False), (12, 8, False), (29, 16, True)]),
+    ], ids=["ordered", "squeezed-outer", "random-birkhoff"])
+    def test_one_newton_array_per_convergent(self, monkeypatch, name, tag, omega, arrays):
+        dom = {"random-4-3-0": lambda: rigidity.sample_random_domains(4, 3)[0],
+               "squeezed": lambda: squeezed_disk(0.1, 0.3),
+               "random-8-5-1": lambda: rigidity.sample_random_domains(8, 5)[1]}[name]()
+        made = self.count_arrays(monkeypatch)
+        res = beta_irrational_result(make_system(dom, tag), omega, 1e-6)
+        assert res.converged
+        assert [q for _, q, _ in res.evaluations] == [a[0] for a in arrays]
+        assert [a[:3] for a in made] == arrays
 
     def test_ordered_rows(self):
         # Row i, point 0 sits at phase i of the q * STARTS phases; moving row
@@ -794,6 +854,30 @@ class TestRotationNumber:
         rho = RotationNumber.rational(p, q)
         assert (rho.p, rho.q) == reduced
         assert str(rho) == f"{reduced[0]}/{reduced[1]}"
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (617, 1999), (1, 2000), (617, 5000), (700, 2001), (1001, 3000)])
+    def test_parse_and_bracket_share_the_fraction_rule(self, monkeypatch, p, q):
+        # A float is a rational exactly when it is p/q with q <= Q_MAX, both
+        # for the CLI's parser and for the bracket's rational dispatch.
+        class Solved(Exception):
+            pass
+
+        def solver(kind):
+            def solve(sys, p, q, *rest):
+                raise Solved(kind, p, q)
+            return solve
+
+        monkeypatch.setattr(twist, "minimize_periodic", solver("rational"))
+        monkeypatch.setattr(twist, "_minimize_seeded", solver("convergent"))
+        rho = RotationNumber.parse(repr(p / q))
+        with pytest.raises(Solved) as solved:
+            beta_irrational_result(make_system(disk(1.0), "birkhoff"), p / q)
+        kind, *pq = solved.value.args
+        assert rho.is_rational == (kind == "rational") == (q <= twist.Q_MAX)
+        if rho.is_rational:
+            assert (rho.p, rho.q) == tuple(pq) == (p, q)
+        else:
+            assert rho.omega == p / q
 
     def test_fraction_helpers(self):
         assert RotationNumber.rational(2, 6).value == pytest.approx(float(Fraction(1, 3)))
