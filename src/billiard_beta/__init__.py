@@ -32,9 +32,7 @@ from .models import (
     MODEL_TAGS,
     beta_disk,
     config_vertices,
-    forward_map,
     make_system,
-    orbit_deviation,
     outer_polygon,
 )
 from .rigidity import (
@@ -43,7 +41,6 @@ from .rigidity import (
     constant_width_equality,
     gutkin_equality_check,
     gutkin_roots,
-    in_R,
     invariant_curve_spread,
     outer_counterexample,
     outer_quarter_relation,
@@ -51,7 +48,6 @@ from .rigidity import (
     outer_third_relation,
     run_inequality_suite,
     sample_random_domains,
-    triangle_midpoint_property,
     verify_main_inequality,
 )
 from .twist import (

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SupportDomain, bisect, boundary_xy, eval_support, support_jet
+from .geometry import SupportDomain, boundary_xy, support_jet
 from .twist import Configuration, TwistSystem, _closed, _roll
 
 TWO_PI = 2.0 * math.pi
@@ -204,11 +204,6 @@ def outer_polygon(dom: SupportDomain, cfg: Configuration) -> OuterPolygon:
     return OuterPolygon(verts, polygon_area(verts))
 
 
-def polygon_perimeter(vertices: np.ndarray) -> float:
-    nxt = np.roll(vertices, -1, axis=0)
-    return float(np.sqrt(((nxt - vertices) ** 2).sum(axis=1)).sum())
-
-
 def polygon_area(vertices: np.ndarray) -> float:
     nxt = np.roll(vertices, -1, axis=0)
     return 0.5 * float(np.sum(vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]))
@@ -223,98 +218,6 @@ def config_vertices(dom: SupportDomain, tag: str, cfg: Configuration) -> np.ndar
     if tag in ("outer", "fourth"):
         return outer_polygon(dom, cfg).vertices
     raise ValueError(f"unknown model tag: {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# forward maps
-# ---------------------------------------------------------------------------
-
-
-def _chord_exit(dom: SupportDomain, p0: np.ndarray, beta: float, lo: float, hi: float) -> float:
-    """Root in (lo, hi) of d x (gamma(psi) - p0), d the tangent of support angle
-    beta: where the line through p0 along d meets the boundary.
-    """
-    d0, d1 = -math.sin(beta), math.cos(beta)
-
-    def f(psi):
-        g = boundary_xy(dom, psi)
-        return d0 * (g[1] - p0[1]) - d1 * (g[0] - p0[0])
-
-    flo = f(lo)
-    if (flo > 0) == (f(hi) > 0):
-        raise RuntimeError("geometry error")
-    return bisect(f, lo, hi, flo)
-
-
-def _outer_step(dom: SupportDomain, point: np.ndarray):
-    point = np.asarray(point, dtype=float)
-
-    def f(theta):
-        return point[0] * math.cos(theta) + point[1] * math.sin(theta) - eval_support(dom, theta, 0)
-
-    grid = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-    vals = point[0] * np.cos(grid) + point[1] * np.sin(grid) - eval_support(dom, grid, 0)
-    nxt = np.roll(vals, -1)
-    down = np.flatnonzero((vals > 0) & (nxt <= 0))  # crossing + -> - has F' < 0
-    if down.size == 0:
-        raise RuntimeError("geometry error")
-    i = int(down[0])
-    lo, hi = grid[i], grid[i] + (TWO_PI / grid.size)
-    theta = bisect(f, lo, hi, f(lo))
-    return 2.0 * boundary_xy(dom, theta) - point
-
-
-def forward_map(dom: SupportDomain, tag: str, state):
-    """One step of the billiard map on its state: (phi, alpha) for birkhoff, the
-    support angle and incidence angle alpha in (0, pi); (t0, t1) for symplectic,
-    two vertex support angles with 0 < t1 - t0 < pi; an outside point for outer.
-    A Birkhoff or symplectic state outside its range raises ValueError.
-    """
-    if tag == "birkhoff":
-        phi, alpha = (float(v) for v in state)
-        if not 0.0 < alpha < math.pi:
-            raise ValueError(f"birkhoff incidence angle must lie in (0, pi), got {alpha!r}")
-        # the chord runs along the tangent of support angle beta = phi + alpha, so it
-        # meets the tangent at its exit psi at the angle psi - beta
-        beta = phi + alpha
-        psi = _chord_exit(dom, boundary_xy(dom, phi), beta, phi + 1e-9, phi + TWO_PI - 1e-9)
-        return psi, psi - beta
-    if tag == "symplectic":
-        t0, t1 = (float(v) for v in state)
-        if not 0.0 < t1 - t0 < math.pi:
-            raise ValueError(f"symplectic gap t1 - t0 must lie in (0, pi), got {t1 - t0!r}")
-        # gamma(t1) and gamma(t1 + pi) are the extreme points along n(t1), so for
-        # 0 < t1 - t0 < pi the bracket changes sign and excludes the root t0 + 2 pi
-        return t1, _chord_exit(dom, boundary_xy(dom, t0), t1, t1 + 1e-9, t1 + math.pi - 1e-9)
-    if tag == "outer":
-        return _outer_step(dom, state)
-    raise ValueError(f"forward map not implemented for tag {tag!r}")
-
-
-def orbit_deviation(dom: SupportDomain, tag: str, cfg: Configuration) -> float:
-    """Max distance between the orbit states of a configuration and the q-step
-    forward-map re-iteration of its first state, angles lifted by winding * 2 pi.
-
-    The states are (m_k, alpha_k) for birkhoff, with m_k the vertex angle between
-    chords k and k+1; chord k+1 runs along the tangent of support angle x_{k+1},
-    so alpha_k = x_{k+1} - m_k.  They are (x_k, x_{k+1}) for symplectic and the
-    polygon vertices for outer.
-    """
-    x, nxt = cfg.points, cfg.closed()
-    if tag == "birkhoff":
-        states, lift = np.column_stack([0.5 * (x + nxt), 0.5 * (nxt - x)]), (TWO_PI, 0.0)
-    elif tag == "symplectic":
-        states, lift = np.column_stack([x, nxt]), (TWO_PI, TWO_PI)
-    elif tag == "outer":
-        states, lift = outer_polygon(dom, cfg).vertices, (0.0, 0.0)
-    else:
-        raise ValueError(f"forward map not implemented for tag {tag!r}")
-    states = np.vstack([states, states[0] + cfg.winding * np.array(lift)])
-    cur, dev = states[0], 0.0
-    for state in states[1:]:
-        cur = forward_map(dom, tag, cur)
-        dev = max(dev, float(np.abs(np.subtract(cur, state)).max()))
-    return dev
 
 
 def orbit_rows(dom: SupportDomain, tag: str, cfg: Configuration):

@@ -175,17 +175,6 @@ def gutkin_roots(n: int) -> GutkinRootSet:
     return GutkinRootSet(n, tuple(sorted(roots)))
 
 
-def in_R(rho: float, n_max: int = 32) -> bool:
-    """Membership in the rigidity set: rho is no Gutkin root up to mode n_max."""
-    if not 0.0 < rho < 0.5:
-        raise ValueError("rho must lie in (0, 1/2)")
-    for n in range(2, n_max + 1):
-        for root in gutkin_roots(n).roots:
-            if abs(rho - root) <= 1e-9:
-                return False
-    return True
-
-
 def equispaced_criticality_residual(dom: SupportDomain, rho: float) -> float:
     """Sup of the Birkhoff action gradient over equispaced configurations at rho.
 
@@ -263,14 +252,6 @@ def outer_third_relation(
     return _outer_plus_symplectic("C6.3", dom, 3, 4.0, num_tol, eq_tol)
 
 
-def triangle_midpoint_property(dom: SupportDomain) -> float:
-    """|Area(outer 3-gon) - 4 Area(tangency triangle)| on the minimal 1/3 orbit."""
-    cfg = minimize_periodic(make_system(dom, "outer"), 1, 3).config
-    poly = outer_polygon(dom, cfg)
-    tangency = geometry.boundary_xy(dom, cfg.points)
-    return abs(poly.area - 4.0 * polygon_area(tangency))
-
-
 def outer_quarter_relation(
     dom: SupportDomain,
     num_tol: float = NUM_TOL,
@@ -306,24 +287,19 @@ def outer_counterexample(
     return _versus_disk("CE6.5", dom, "outer", float(frac), res.beta, res.converged, num_tol, eq_tol)
 
 
-def _pinned_spread(dom: SupportDomain, tag: str, p: int, q: int) -> tuple[float, bool]:
+def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> tuple[float, bool]:
     """(spread, all converged): the spread of the pinned minimal actions over
     the converged ones of 12 phases x0 in [0, period / q), solved as one pinned
-    Newton array; nan when none converged."""
+    Newton array; nan when none converged.
+
+    A vanishing spread certifies numerically that every phase carries a
+    minimal periodic orbit, i.e. an invariant curve of periodic points.
+    """
     sys = make_system(dom, tag)
     pinned = minimize_pinned(sys, p, q, np.linspace(0.0, sys.period / q, 12, endpoint=False))
     actions = [res.beta for res in pinned if res.converged]
     spread = max(actions) - min(actions) if actions else math.nan
     return float(spread), len(actions) == len(pinned)
-
-
-def invariant_curve_spread(dom: SupportDomain, tag: str, p: int, q: int) -> float:
-    """Spread of pinned minimal actions across phases, over the converged phases.
-
-    A vanishing spread certifies numerically that every phase carries a
-    minimal periodic orbit, i.e. an invariant curve of periodic points.
-    """
-    return _pinned_spread(dom, tag, p, q)[0]
 
 
 def outer_rigidity_theorem(
@@ -342,7 +318,7 @@ def outer_rigidity_theorem(
     """
     frac = _outer_rotation(rho)
     theorem = "T6.4" if frac.denominator == 3 else "T6.10"
-    spread, all_converged = _pinned_spread(dom, "outer", frac.numerator, frac.denominator)
+    spread, all_converged = invariant_curve_spread(dom, "outer", frac.numerator, frac.denominator)
     res = minimize_periodic(make_system(dom, "outer"), frac.numerator, frac.denominator)
     return _versus_disk(theorem, dom, "outer", float(frac), res.beta, res.converged, num_tol, eq_tol,
                         orbit_spread=None if math.isnan(spread) else spread,
@@ -373,13 +349,6 @@ def sample_random_domains(count: int, seed: int = 0) -> list[SupportDomain]:
     return [random_domain(rng) for _ in range(count)]
 
 
-def nontrivial_fourier_energy(dom: SupportDomain) -> float:
-    """Sum of squared mode amplitudes above n = 1 (translation-invariant shape energy)."""
-    if dom.n_modes < 2:
-        return 0.0
-    return float((dom.an[1:] ** 2 + dom.bn[1:] ** 2).sum())
-
-
 def run_inequality_suite(domains, rotations) -> list[InequalityReport]:
     """Cartesian main-inequality sweep; rho = 1/2 is only valid for T4.2."""
     reports = []
@@ -390,23 +359,3 @@ def run_inequality_suite(domains, rotations) -> list[InequalityReport]:
                     continue
                 reports.append(verify_main_inequality(dom, theorem, RotationNumber.rational(p, q)))
     return reports
-
-
-def sine_equation_root_free(n_max: int = 64) -> bool:
-    """Check sin(n theta) = n sin(theta) has no solution with theta in (0, pi).
-
-    Solutions need |sin(theta)| <= 1/n, so only windows at the two ends are
-    scanned.  Within cut = 1e-2/n of the trivial endpoints 0 and pi the
-    difference is dominated by its strictly negative cubic Taylor term, so
-    the scan starts outside that margin (where cancellation would otherwise
-    round the difference to zero).
-    """
-    for n in range(2, n_max + 1):
-        width = math.asin(1.0 / n)
-        cut = 1e-2 / n
-        for lo, hi in ((cut, width), (math.pi - width, math.pi - cut)):
-            theta = np.linspace(lo, hi, 4096)
-            vals = np.sin(n * theta) - n * np.sin(theta)
-            if vals.max() >= -1e-12:
-                return False
-    return True

@@ -76,6 +76,8 @@ class RotationNumber:
 
     @classmethod
     def rational(cls, p: int, q: int) -> "RotationNumber":
+        if q == 0:
+            raise ValueError(f"rotation number {p}/{q} has a zero denominator")
         return cls(p=p, q=q)
 
     @classmethod
@@ -165,7 +167,12 @@ def _roll(a: np.ndarray, shift: int) -> np.ndarray:
 
 
 def _fraction(value: float) -> Fraction | None:
-    """value as the p/q with q <= Q_MAX nearest to it when that reproduces the float, else None."""
+    """value as the p/q with q <= Q_MAX nearest to it when that reproduces the float, else None.
+
+    A non-finite value raises ValueError.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"rotation number {value} is not finite")
     frac = Fraction(value).limit_denominator(Q_MAX)
     return frac if float(frac) == float(value) else None
 

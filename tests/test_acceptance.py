@@ -12,7 +12,7 @@ import pytest
 
 from billiard_beta import rigidity
 from billiard_beta.geometry import constant_width, disk, ellipse, perimeter, squeezed_disk
-from billiard_beta.models import MODEL_TAGS, beta_disk, make_system, orbit_deviation
+from billiard_beta.models import MODEL_TAGS, beta_disk, make_system
 from billiard_beta.rigidity import (
     constant_width_equality,
     gutkin_equality_check,
@@ -21,7 +21,6 @@ from billiard_beta.rigidity import (
     outer_quarter_relation,
     outer_third_relation,
     run_inequality_suite,
-    triangle_midpoint_property,
     verify_main_inequality,
 )
 from billiard_beta.twist import (
@@ -36,6 +35,7 @@ from billiard_beta.twist import (
     make_toy_system,
     minimize_periodic,
 )
+from oracles import orbit_deviation, triangle_midpoint_property
 
 SQ3 = math.sqrt(3.0)
 SUITE_SEED = 20260808

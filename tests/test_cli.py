@@ -11,8 +11,9 @@ import pytest
 from billiard_beta import cli, twist
 from billiard_beta.cli import main, parse_domain, parse_rotations
 from billiard_beta.geometry import save_domain, squeezed_disk
-from billiard_beta.models import MODEL_TAGS, polygon_area, polygon_perimeter
+from billiard_beta.models import MODEL_TAGS, polygon_area
 from billiard_beta.rigidity import verify_main_inequality
+from oracles import polygon_perimeter
 
 
 def run(capsys, *argv):

@@ -278,3 +278,39 @@ class TestSerialization:
     def test_non_finite_rejected(self, a0, an, bn):
         with pytest.raises(ValueError, match="a0, an, bn must be finite"):
             SupportDomain(a0, an, bn)
+
+
+class TestBisect:
+    def test_scalar_bracket_returns_float_root(self):
+        root = geometry.bisect(np.cos, 1.0, 2.0, math.cos(1.0))
+        assert type(root) is float
+        assert abs(root - 0.5 * math.pi) < 1e-13
+
+    def test_array_brackets_match_scalar_calls(self):
+        lo, hi = np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.5, 7.9])
+        roots = geometry.bisect(np.cos, lo, hi, np.cos(lo))
+        assert roots.shape == (3,)
+        for k in range(3):
+            scalar = geometry.bisect(np.cos, lo[k], hi[k], math.cos(lo[k]))
+            assert abs(roots[k] - scalar) < 1e-13
+        assert np.abs(roots - np.array([0.5, 1.5, 2.5]) * math.pi).max() < 1e-13
+
+    def test_brackets_stop_together(self):
+        def counted(shapes):
+            def f(t):
+                shapes.append(np.shape(t))
+                return np.cos(t)
+            return f
+
+        alone = {}
+        for name, lo, hi in (("wide", 1.0, 2.0), ("narrow", 4.7123885, 4.7123885 + 2.0**-20)):
+            alone[name] = []
+            geometry.bisect(counted(alone[name]), lo, hi, math.cos(lo))
+        assert len(alone["narrow"]) < len(alone["wide"])
+
+        shapes = []
+        lo, hi = np.array([1.0, 4.7123885]), np.array([2.0, 4.7123885 + 2.0**-20])
+        roots = geometry.bisect(counted(shapes), lo, hi, np.cos(lo))
+        # every call halves both brackets, until the wide one is below 1e-13
+        assert shapes == [(2,)] * len(alone["wide"])
+        assert np.abs(roots - np.array([0.5, 1.5]) * math.pi).max() < 1e-13

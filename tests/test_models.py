@@ -9,15 +9,13 @@ from billiard_beta.models import (
     MODEL_TAGS,
     beta_disk,
     config_vertices,
-    forward_map,
     make_system,
-    orbit_deviation,
     orbit_rows,
     outer_polygon,
     polygon_area,
-    polygon_perimeter,
 )
 from billiard_beta.twist import Configuration, beta_rational, minimize_periodic
+from oracles import forward_map, orbit_deviation, polygon_perimeter
 
 SQ3 = math.sqrt(3.0)
 TWO_PI = 2 * math.pi

@@ -879,6 +879,16 @@ class TestRotationNumber:
         else:
             assert rho.omega == p / q
 
+    def test_zero_denominator_fails_fast(self):
+        with pytest.raises(ValueError, match=r"rotation number 1/0 has a zero denominator"):
+            RotationNumber.rational(1, 0)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve", [beta_irrational_result, equispaced_average_action])
+    def test_non_finite_fails_fast(self, solve, omega):
+        with pytest.raises(ValueError, match=rf"rotation number {omega} is not finite"):
+            solve(make_system(disk(1.0), "birkhoff"), omega)
+
     def test_fraction_helpers(self):
         assert RotationNumber.rational(2, 6).value == pytest.approx(float(Fraction(1, 3)))
         assert farey_fractions(5) == [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2)]
